@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p afg-bench --bin loadgen -- \
 //!     [--problem ID] [--attempts N] [--requests N] [--connections N] \
-//!     [--seed S] [--addr HOST:PORT] [--no-cache] [--backend cegis|enum|portfolio]
+//!     [--seed S] [--addr HOST:PORT] [--no-cache] [--backend cegis|enum]
 //! ```
 //!
 //! The driver generates a seeded submission corpus for one benchmark
@@ -56,7 +56,7 @@ struct Options {
 fn usage() -> String {
     "usage: loadgen [--problem ID] [--attempts N] [--requests N] [--connections N]\n\
      \x20              [--seed S] [--addr HOST:PORT] [--no-cache]\n\
-     \x20              [--backend cegis|enum|portfolio] [--sweep compiled|tree]\n\
+     \x20              [--backend cegis|enum] [--sweep compiled|tree]\n\
      \x20              [--classroom] [--students N] [--skeletons K]\n\
      \x20              [--no-transfer] [--workers N]\n\
      \n\
@@ -69,7 +69,7 @@ fn usage() -> String {
      --no-cache        only run the cache-disabled mode\n\
      --backend B       synthesis back end on both daemon and library path\n\
      --sweep M         verification sweeps: compiled bytecode VM (default)\n\
-     \x20               or the tree-walking interpreter\n\
+     \x20               or the reference tree interpreter\n\
      --io MODE         I/O core for the in-process daemon: epoll or threads\n\
      \x20               (default: the platform default, epoll on Linux)\n\
      \n\
@@ -145,7 +145,7 @@ fn parse_options() -> Options {
             "--workers" => options.workers = number(arg, iter.next()).max(1) as usize,
             "--backend" => match iter.next().and_then(|v| Backend::parse(v)) {
                 Some(backend) => options.backend = backend,
-                None => exit_usage("option '--backend' expects cegis, enum or portfolio"),
+                None => exit_usage("option '--backend' expects cegis or enum"),
             },
             "--sweep" => match iter.next().and_then(|v| SweepMode::parse(v)) {
                 Some(sweep) => options.sweep = sweep,
@@ -189,20 +189,19 @@ fn budget(backend: Backend, sweep: SweepMode) -> GraderConfig {
 }
 
 /// What the library path says a submission grades to: the `"outcome"` tag
-/// and, for feedback, the fully rendered text plus the repair cost.
-type Expected = (String, Option<String>, Option<usize>);
+/// and, for feedback, the fully rendered text.
+type Expected = (String, Option<String>);
 
 fn expected_of(grader: &Autograder, source: &str) -> Expected {
     match grader.grade_source(source) {
-        GradeOutcome::SyntaxError(_) => ("syntax_error".into(), None, None),
-        GradeOutcome::Correct => ("correct".into(), None, None),
+        GradeOutcome::SyntaxError(_) => ("syntax_error".into(), None),
+        GradeOutcome::Correct => ("correct".into(), None),
         GradeOutcome::Feedback(feedback) => (
             "feedback".into(),
             Some(feedback.render(FeedbackLevel::full())),
-            Some(feedback.cost),
         ),
-        GradeOutcome::CannotFix => ("cannot_fix".into(), None, None),
-        GradeOutcome::Timeout => ("timeout".into(), None, None),
+        GradeOutcome::CannotFix => ("cannot_fix".into(), None),
+        GradeOutcome::Timeout => ("timeout".into(), None),
     }
 }
 
@@ -224,7 +223,6 @@ fn run_phase(
     expected: &HashMap<&str, Expected>,
     schedule: &[usize],
     connections: usize,
-    strict: bool,
 ) -> RunResult {
     let path = format!("/problems/{problem_id}/grade");
     let next = AtomicUsize::new(0);
@@ -247,7 +245,7 @@ fn run_phase(
                     let sent = Instant::now();
                     let (status, response) = client.post(&path, &body).expect("grade request");
                     latencies.record_duration(sent.elapsed());
-                    if status != 200 || !matches_expected(&response, &expected[source], strict) {
+                    if status != 200 || !matches_expected(&response, &expected[source]) {
                         mismatched.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -262,28 +260,15 @@ fn run_phase(
     }
 }
 
-/// `strict` compares rendered feedback byte for byte (deterministic
-/// backends); otherwise only the outcome tag and repair cost must agree —
-/// the portfolio's race winner varies between runs, and different winners
-/// may legitimately pick different (equally minimal) repairs.
-fn matches_expected(response: &Json, expected: &Expected, strict: bool) -> bool {
-    if response.get("outcome").and_then(Json::as_str) != Some(expected.0.as_str()) {
-        return false;
-    }
-    if strict {
-        let rendered = response
-            .get("feedback")
-            .and_then(|f| f.get("rendered"))
-            .and_then(Json::as_str);
-        rendered == expected.1.as_deref()
-    } else {
-        let cost = response
-            .get("feedback")
-            .and_then(|f| f.get("cost"))
-            .and_then(Json::as_i64)
-            .and_then(|v| usize::try_from(v).ok());
-        cost == expected.2
-    }
+/// Whether a daemon response has the expected outcome tag and rendered
+/// feedback, byte for byte.
+fn matches_expected(response: &Json, expected: &Expected) -> bool {
+    let rendered = response
+        .get("feedback")
+        .and_then(|f| f.get("rendered"))
+        .and_then(Json::as_str);
+    response.get("outcome").and_then(Json::as_str) == Some(expected.0.as_str())
+        && rendered == expected.1.as_deref()
 }
 
 fn report(label: &str, result: &RunResult, requests: usize) -> f64 {
@@ -572,7 +557,6 @@ fn main() {
         options.seed
     );
     println!("grading the corpus once through the library path (ground truth)...");
-    let strict = options.backend != Backend::Portfolio;
     let expected: HashMap<&str, Expected> = sources
         .iter()
         .map(|source| (source.as_str(), expected_of(&grader, source)))
@@ -612,7 +596,6 @@ fn main() {
         &expected,
         &schedule,
         options.connections,
-        strict,
     );
     println!();
     let uncached_throughput = report("no-cache", &uncached, options.requests);
@@ -627,7 +610,6 @@ fn main() {
             &expected,
             &schedule,
             options.connections,
-            strict,
         );
         let cached_throughput = report("cached", &cached, options.requests);
         let speedup = cached_throughput / uncached_throughput;
@@ -650,17 +632,10 @@ fn main() {
             }
         }
         if cached.mismatches == 0 && uncached.mismatches == 0 {
-            if strict {
-                println!(
-                    "feedback byte-identical to serial library grading across all {} responses",
-                    2 * options.requests
-                );
-            } else {
-                println!(
-                    "outcome and repair cost match serial library grading across all {} responses",
-                    2 * options.requests
-                );
-            }
+            println!(
+                "feedback byte-identical to serial library grading across all {} responses",
+                2 * options.requests
+            );
         }
         let total_mismatches = cached.mismatches + uncached.mismatches;
         println!("speedup: cache-enabled throughput is {speedup:.2}x the --no-cache run");

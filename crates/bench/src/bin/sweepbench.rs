@@ -1,5 +1,5 @@
-//! `sweepbench` — microbenchmark of the verification-sweep core, tree
-//! walker vs compiled bytecode VM.
+//! `sweepbench` — microbenchmark of the verification-sweep core, the
+//! reference tree interpreter vs the compiled bytecode VM.
 //!
 //! ```text
 //! cargo run --release -p afg-bench --bin sweepbench -- \

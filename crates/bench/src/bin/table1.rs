@@ -3,18 +3,16 @@
 //! generated feedback, and average/median grading time.
 //!
 //! ```text
-//! cargo run --release -p afg-bench --bin table1 -- [--attempts N] [--seed S] [--workers N] [--json] [--backend cegis|enum|portfolio] [--sweep tree|compiled]
+//! cargo run --release -p afg-bench --bin table1 -- [--attempts N] [--seed S] [--workers N] [--json] [--backend cegis|enum] [--sweep tree|compiled]
 //! ```
 //!
 //! With `--json` the table is emitted as a single JSON document (via
 //! `afg-json`) so CI and scripts can consume the results without scraping
 //! the human-formatted text; the document carries per-row solver work
-//! (`sat_conflicts`/`sat_learnts`/…), per-row winning-strategy counts
-//! (`winners`, interesting under `--backend portfolio`) and an aggregate
-//! `solver` object.  `--backend` selects the search engine, so backend
+//! (`sat_conflicts`/`sat_learnts`/…) and an aggregate `solver` object.  `--backend` selects the search engine, so backend
 //! speedups are *measured* on the same corpus rather than asserted, and
-//! `--sweep` selects the verification back end (tree walker vs compiled
-//! bytecode VM) the same way — the aggregate `sweep_ns_per_input` is the
+//! `--sweep` selects the verification back end (reference interpreter vs
+//! compiled bytecode VM) the same way — the aggregate `sweep_ns_per_input` is the
 //! A/B metric.
 //!
 //! The corpora are synthetic (see DESIGN.md); absolute counts therefore

@@ -32,8 +32,7 @@ pub struct GradeRecord {
     /// Wall-clock grading time (includes the parse for syntax errors).
     pub elapsed: Duration,
     /// The synthesizer's counters (present for `Fixed` submissions, whose
-    /// outcome carries them; includes the winning strategy name under the
-    /// portfolio backend).
+    /// outcome carries them).
     pub stats: Option<SynthesisStats>,
 }
 
@@ -90,10 +89,6 @@ pub struct Table1Row {
     /// Wall-clock spent inside verification sweeps over the fixed
     /// attempts — the numerator of ns-per-input.
     pub verify_elapsed: Duration,
-    /// Winning-strategy histogram over the fixed attempts (strategy name →
-    /// count), sorted by name.  Under single-strategy backends this has one
-    /// entry; under the portfolio it shows who actually won the races.
-    pub winners: Vec<(String, usize)>,
     /// Mean grading time over the incorrect attempts.
     pub average_time: Duration,
     /// Median grading time over the incorrect attempts.
@@ -176,12 +171,6 @@ impl Table1Row {
 impl afg_json::ToJson for Table1Row {
     fn to_json(&self) -> afg_json::Json {
         use afg_json::Json;
-        let winners = Json::Object(
-            self.winners
-                .iter()
-                .map(|(name, count)| (name.clone(), count.to_json()))
-                .collect(),
-        );
         Json::object([
             ("name", Json::str(&self.name)),
             ("median_loc", self.median_loc.to_json()),
@@ -201,7 +190,6 @@ impl afg_json::ToJson for Table1Row {
             ("sweep_inputs", self.sweep_inputs.to_json()),
             ("verify_ms", self.verify_elapsed.to_json()),
             ("sweep_ns_per_input", self.sweep_ns_per_input().to_json()),
-            ("winners", winners),
             ("average_time_ms", self.average_time.to_json()),
             ("median_time_ms", self.median_time.to_json()),
         ])
@@ -230,19 +218,6 @@ impl afg_json::FromJson for Table1Row {
                 .and_then(|v| u64::try_from(v).ok())
                 .ok_or_else(|| JsonError::missing_field("table1 row", name))
         };
-        let mut winners: Vec<(String, usize)> = match json.get("winners") {
-            Some(Json::Object(pairs)) => pairs
-                .iter()
-                .filter_map(|(name, value)| {
-                    value
-                        .as_i64()
-                        .and_then(|v| usize::try_from(v).ok())
-                        .map(|count| (name.clone(), count))
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
-        winners.sort();
         Ok(Table1Row {
             name: json
                 .get("name")
@@ -265,7 +240,6 @@ impl afg_json::FromJson for Table1Row {
             sweeps: wide("sweeps").unwrap_or(0),
             sweep_inputs: wide("sweep_inputs").unwrap_or(0),
             verify_elapsed: duration("verify_ms").unwrap_or(Duration::ZERO),
-            winners,
             average_time: duration("average_time_ms")?,
             median_time: duration("median_time_ms")?,
         })
@@ -371,7 +345,7 @@ fn aggregate(problem: &Problem, records: &[GradeRecord]) -> Table1Row {
     let test_set = records.len() - syntax_errors;
     let incorrect = test_set - correct;
 
-    // Solver work and winning strategies over the fixed submissions.
+    // Solver work over the fixed submissions.
     let mut sat_conflicts = 0u64;
     let mut sat_propagations = 0u64;
     let mut sat_learnts = 0u64;
@@ -379,8 +353,6 @@ fn aggregate(problem: &Problem, records: &[GradeRecord]) -> Table1Row {
     let mut sweeps = 0u64;
     let mut sweep_inputs = 0u64;
     let mut verify_elapsed = Duration::ZERO;
-    let mut winner_counts: std::collections::BTreeMap<String, usize> =
-        std::collections::BTreeMap::new();
     for stats in records.iter().filter_map(|r| r.stats.as_ref()) {
         sat_conflicts += stats.sat_conflicts;
         sat_propagations += stats.sat_propagations;
@@ -389,11 +361,7 @@ fn aggregate(problem: &Problem, records: &[GradeRecord]) -> Table1Row {
         sweeps += stats.sweeps;
         sweep_inputs += stats.sweep_inputs;
         verify_elapsed += stats.verify_elapsed;
-        if !stats.strategy.is_empty() {
-            *winner_counts.entry(stats.strategy.to_string()).or_default() += 1;
-        }
     }
-    let winners: Vec<(String, usize)> = winner_counts.into_iter().collect();
 
     let mut incorrect_times: Vec<Duration> = records
         .iter()
@@ -433,7 +401,6 @@ fn aggregate(problem: &Problem, records: &[GradeRecord]) -> Table1Row {
         sweeps,
         sweep_inputs,
         verify_elapsed,
-        winners,
         average_time,
         median_time,
     }
@@ -569,17 +536,16 @@ impl std::error::Error for CliError {}
 /// The usage string shared by the experiment binaries.
 pub fn usage() -> String {
     "usage: <binary> [--attempts N] [--seed N] [--workers N] [--json]\n\
-     \x20              [--backend cegis|enum|portfolio] [--sweep compiled|tree]\n\
+     \x20              [--backend cegis|enum] [--sweep compiled|tree]\n\
      \x20              [--max-candidates N] [--time-budget-ms N]\n\
      \n\
      --attempts N   submissions generated per benchmark\n\
      --seed N       corpus RNG seed (corpora are reproducible)\n\
      --workers N    grading worker threads (default: all cores)\n\
      --json         emit machine-readable JSON (table1)\n\
-     --backend B    synthesis back end: cegis (default), enum, or portfolio\n\
-     \x20              (portfolio races the other two and keeps the first proof)\n\
+     --backend B    synthesis back end: cegis (default) or enum\n\
      --sweep M      verification sweeps: compiled (default, bytecode VM) or\n\
-     \x20              tree (interpreter baseline; outcomes are identical)\n\
+     \x20              tree (reference interpreter; outcomes are identical)\n\
      --max-candidates N   per-submission candidate budget override\n\
      --time-budget-ms N   per-submission wall-clock budget override"
         .to_string()
@@ -633,7 +599,7 @@ pub fn parse_cli_options(args: &[String], default_attempts: usize) -> Result<Cli
                     .ok_or_else(|| CliError::new("option '--backend' requires a value".into()))?;
                 options.backend = Backend::parse(value).ok_or_else(|| {
                     CliError::new(format!(
-                        "option '--backend' expects cegis, enum or portfolio, got '{value}'"
+                        "option '--backend' expects cegis or enum, got '{value}'"
                     ))
                 })?;
             }
@@ -812,7 +778,6 @@ mod tests {
             sweeps: 0,
             sweep_inputs: 0,
             verify_elapsed: Duration::ZERO,
-            winners: Vec::new(),
             average_time: Duration::from_millis(120),
             median_time: Duration::from_millis(80),
         };
@@ -843,7 +808,6 @@ mod tests {
             sweeps: 1_200,
             sweep_inputs: 48_000,
             verify_elapsed: Duration::from_millis(36),
-            winners: vec![("cegis".to_string(), 18), ("enum".to_string(), 3)],
             average_time: Duration::from_millis(150),
             median_time: Duration::from_millis(90),
         };
@@ -889,10 +853,10 @@ mod tests {
         assert_eq!(options.engine().workers(), 2);
         assert_eq!(options.backend, Backend::Cegis);
 
-        let backend: Vec<String> = vec!["--backend".into(), "portfolio".into()];
+        let backend: Vec<String> = vec!["--backend".into(), "enum".into()];
         assert_eq!(
             parse_cli_options(&backend, 40).unwrap().backend,
-            Backend::Portfolio
+            Backend::Enumerative
         );
 
         // Sweep mode: compiled by default, tree as the A/B baseline, typos
@@ -910,9 +874,11 @@ mod tests {
         let bad_sweep: Vec<String> = vec!["--sweep".into(), "jit".into()];
         let err = parse_cli_options(&bad_sweep, 40).unwrap_err();
         assert!(err.to_string().contains("compiled or tree"));
-        let bad: Vec<String> = vec!["--backend".into(), "sketch".into()];
-        let err = parse_cli_options(&bad, 40).unwrap_err();
-        assert!(err.to_string().contains("cegis, enum or portfolio"));
+        for name in ["sketch", "portfolio"] {
+            let bad: Vec<String> = vec!["--backend".into(), name.into()];
+            let err = parse_cli_options(&bad, 40).unwrap_err();
+            assert!(err.to_string().contains("cegis or enum"), "{name}");
+        }
         let missing: Vec<String> = vec!["--backend".into()];
         assert!(parse_cli_options(&missing, 40).is_err());
 

@@ -6,8 +6,9 @@
 //! `i64::MIN // -1`, sequence-repetition bounds).  A separate test pins
 //! fuel-exhaustion parity across whole budget ranges, and another checks
 //! that the sweep verdict cache never changes a `find_counterexample`
-//! answer (cache on ≡ cache off ≡ tree walker, including repeated
-//! queries that exercise the hit path).
+//! answer (cache on ≡ cache off ≡ the reference path that concretises
+//! each candidate for the tree interpreter, including repeated queries
+//! that exercise the hit path).
 
 use afg_corpus::rng::StdRng;
 use afg_corpus::{mutate_program, problems};
@@ -199,8 +200,9 @@ fn fuel_exhaustion_parity_across_budgets_on_corpus_references() {
 
 /// The sweep verdict cache is an observational-equivalence memoization —
 /// it must never change an answer.  For seeded buggy choice programs this
-/// sweeps a candidate set through three sessions (tree, compiled without
-/// cache, compiled with cache) and requires identical counterexamples —
+/// sweeps a candidate set through three sessions (tree, which concretises
+/// each candidate for the reference interpreter; compiled without cache;
+/// compiled with cache) and requires identical counterexamples —
 /// querying the cached session twice so the second pass answers from the
 /// trie.
 #[test]

@@ -513,12 +513,11 @@ impl Autograder {
                         // A timeout is only a *property of the submission*
                         // when every search along the ladder exhausted its
                         // candidate budget — that replays identically
-                        // anywhere.  A wall-clock (or cancellation) stop in
-                        // ANY tier depends on machine load: caching it
-                        // would pin a transient verdict onto every future
-                        // alpha-equivalent submission.  The strategies
-                        // record which one happened — for a portfolio,
-                        // whether any racer hit the clock.
+                        // anywhere.  A wall-clock stop in ANY tier depends
+                        // on machine load: caching it would pin a transient
+                        // verdict onto every future alpha-equivalent
+                        // submission.  The strategies record which one
+                        // happened.
                         cacheable: !load_dependent && !stats.wall_clock_limited,
                         guard: Some(ReplayGuard {
                             combined_signature: combine_signatures(&attempted_signatures),
@@ -659,6 +658,7 @@ fn validate_reference(reference: &Program, entry: &str) -> Result<(), GraderErro
 mod tests {
     use super::*;
     use afg_eml::library;
+    use afg_interp::SweepMode;
 
     const REFERENCE: &str = "\
 def computeDeriv(poly_list_int):
@@ -809,13 +809,13 @@ def computeDeriv(poly_list_int):
     #[test]
     fn escalation_and_backend_change_the_config_fingerprint() {
         let base = grader();
-        let mut portfolio_config = GraderConfig::fast();
-        portfolio_config.backend = Backend::Portfolio;
-        let portfolio = Autograder::new(
+        let mut enum_config = GraderConfig::fast();
+        enum_config.backend = Backend::Enumerative;
+        let enumerative = Autograder::new(
             REFERENCE,
             "computeDeriv",
             library::compute_deriv_model(),
-            portfolio_config,
+            enum_config,
         )
         .unwrap();
         let mut ladder_config = GraderConfig::fast();
@@ -830,9 +830,12 @@ def computeDeriv(poly_list_int):
         .unwrap();
 
         assert_eq!(base.config_fingerprint(), grader().config_fingerprint());
-        assert_ne!(base.config_fingerprint(), portfolio.config_fingerprint());
+        assert_ne!(base.config_fingerprint(), enumerative.config_fingerprint());
         assert_ne!(base.config_fingerprint(), ladder.config_fingerprint());
-        assert_ne!(portfolio.config_fingerprint(), ladder.config_fingerprint());
+        assert_ne!(
+            enumerative.config_fingerprint(),
+            ladder.config_fingerprint()
+        );
 
         // The equivalence configuration changes verdicts (it defines the
         // bounded input space), so it must change the fingerprint too.
@@ -856,24 +859,45 @@ def computeDeriv(poly_list_int):
     }
 
     #[test]
-    fn portfolio_backend_grades_like_cegis() {
+    fn enum_backend_grades_like_cegis() {
         let mut config = GraderConfig::fast();
-        config.backend = Backend::Portfolio;
-        let portfolio = Autograder::new(
+        config.backend = Backend::Enumerative;
+        let enumerative = Autograder::new(
             REFERENCE,
             "computeDeriv",
             library::compute_deriv_model(),
             config,
         )
         .unwrap();
-        let outcome = portfolio.grade_source(OFF_BY_ONE);
+        let outcome = enumerative.grade_source(OFF_BY_ONE);
         let feedback = outcome.feedback().expect("feedback");
         assert_eq!(feedback.cost, 1);
-        assert!(
-            ["cegis", "enum"].contains(&feedback.stats.strategy),
-            "portfolio feedback must name the winning strategy, got '{}'",
-            feedback.stats.strategy
-        );
+        assert_eq!(feedback.stats.strategy, "enum");
+    }
+
+    #[test]
+    fn uncompilable_submissions_grade_on_the_reference_interpreter() {
+        // `acc[0].append(..)` mutates through an index receiver, which the
+        // bytecode compiler cannot lower, so verification falls back to
+        // concretising each candidate and running the tree interpreter.
+        let source = "def computeDeriv(poly):\n    if len(poly) == 1:\n        return [0]\n    acc = [[]]\n    for i in range(0, len(poly)):\n        acc[0].append(i * poly[i])\n    return acc[0]\n";
+        let fallback = grader().grade_source(source);
+        let mut config = GraderConfig::fast();
+        config.equivalence.sweep = SweepMode::Tree;
+        let tree = Autograder::new(
+            REFERENCE,
+            "computeDeriv",
+            library::compute_deriv_model(),
+            config,
+        )
+        .unwrap()
+        .grade_source(source);
+        let fallback = fallback.feedback().expect("feedback");
+        let tree = tree.feedback().expect("feedback");
+        assert!(!fallback.stats.sweep_compiled, "the VM cannot lower this");
+        assert_eq!(fallback.cost, 1);
+        assert_eq!(fallback.cost, tree.cost);
+        assert_eq!(fallback.to_string(), tree.to_string());
     }
 
     #[test]

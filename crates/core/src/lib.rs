@@ -69,4 +69,4 @@ pub use grader::{
 // direct dependencies on every sub-crate.
 pub use afg_eml::{ErrorModel, Rule};
 pub use afg_interp::{EquivalenceConfig, ExecLimits, InputSpace, SweepMode};
-pub use afg_synth::{Backend, CancelToken, SearchStrategy, SynthesisConfig};
+pub use afg_synth::{Backend, SearchStrategy, SynthesisConfig};

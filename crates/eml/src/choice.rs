@@ -214,11 +214,12 @@ impl ChoiceProgram {
     /// missing ids take the default option.
     ///
     /// This materialises a full AST clone and is therefore the *cold path*:
-    /// the synthesis hot loop evaluates candidates directly through the
-    /// choice-aware interpreter and only concretises the final solution for
-    /// feedback rendering.  [`instrument::concretize_calls`] counts the
-    /// calls made by the current thread so tests can assert the hot loop
-    /// stays cold.
+    /// the synthesis hot loop evaluates candidates on compiled bytecode and
+    /// only concretises the final solution for feedback rendering (the
+    /// reference-interpreter path, which the VM is diffed against,
+    /// concretises every candidate).  [`instrument::concretize_calls`]
+    /// counts the calls made by the current thread so tests can assert the
+    /// hot loop stays cold.
     pub fn concretize(&self, assignment: &ChoiceAssignment) -> Program {
         instrument::record_concretize();
         let mut program = Program::new();

@@ -2,9 +2,10 @@
 //! MPY / M̃PY programs plus a loop-based VM.
 //!
 //! The synthesis inner loop evaluates one candidate space on thousands of
-//! (assignment × input) pairs.  The tree walkers re-resolve every local
-//! through a `HashMap` frame and re-discover every choice site on every
-//! run; the compiler here does that work once per submission instead:
+//! (assignment × input) pairs.  The reference path concretises every
+//! candidate and its tree walker re-resolves every local through a
+//! `HashMap` frame on every run; the compiler here does that work once per
+//! submission instead:
 //!
 //! * locals are resolved to dense frame **slots** at compile time,
 //! * constants are interned into a constant pool,
@@ -18,16 +19,16 @@
 //! Fuel parity is by construction: a one-unit [`Instr::Charge`] is emitted
 //! at exactly the points where [`crate::interp::Interpreter`] calls
 //! `charge(1)` (statement entry, expression-node entry, loop iterations),
-//! and choice constructs charge nothing, exactly like
-//! [`crate::choice_eval`].  The `properties` integration test enforces
-//! result + output + fuel agreement differentially.
+//! and choice constructs charge nothing, exactly as they vanish under
+//! concretisation.  The `vm_differential` integration test enforces
+//! result + output + fuel agreement with concretise-then-interpret.
 //!
 //! Programs using a construct the compiler does not support (currently:
 //! mutating method calls whose receiver is an index expression or is
 //! itself choice-bearing, where the tree walker re-evaluates the write-back
-//! target) fail to compile; callers fall back to the tree walker, which
-//! remains the semantic ground truth and the cold path for feedback
-//! rendering.
+//! target) fail to compile; callers fall back to concretising each
+//! candidate and running the tree interpreter, which remains the semantic
+//! ground truth and the cold path for feedback rendering.
 
 use std::collections::HashMap;
 
@@ -475,7 +476,7 @@ impl Vm {
         argc: usize,
     ) -> Result<(), RuntimeError> {
         let func = &program.funcs[func_idx];
-        // Depth before arity, like `call_func` / `call_choice_func`.
+        // Depth before arity, like `Interpreter::call_func`.
         if self.depth >= self.limits.max_recursion {
             return Err(RuntimeError::RecursionLimit);
         }
@@ -2275,10 +2276,12 @@ def f(x):
         let compiled = CompiledProgram::from_choice(&cp).expect("compiles");
         assert!(compiled.site_count() > 0);
         let mut vm = Vm::new(ExecLimits::fast());
-        let evaluator = crate::choice_eval::ChoiceEvaluator::new(&cp, ExecLimits::fast());
         let args = [Value::Int(3), Value::Int(2)];
-        // Sweep every single-site selection and compare with the tree
-        // walker on result and output.
+        // Sweep every single-site selection (including an out-of-range
+        // option, which clamps) and compare with the concretised candidate
+        // on the tree interpreter, on result, output and fuel: choice
+        // constructs must charge nothing, as they vanish under
+        // concretisation.
         let mut assignments = vec![ChoiceAssignment::default_choices()];
         for info in &cp.choices {
             for option in 0..info.options.len() + 1 {
@@ -2288,12 +2291,15 @@ def f(x):
         for assignment in &assignments {
             vm.select(&compiled, assignment);
             let direct = vm.run(&compiled, &args);
-            let tree = evaluator.run(assignment, &args);
+            let concrete = cp.concretize(assignment);
+            let mut interp = crate::interp::Interpreter::with_limits(&concrete, ExecLimits::fast());
+            let tree = interp.call_entry(Some("iterPower"), &args);
             match (&direct, &tree) {
                 (Ok(a), Ok(b)) => assert_eq!(a, b, "{assignment:?}"),
                 (Err(a), Err(b)) => assert_eq!(a, b, "{assignment:?}"),
                 _ => panic!("{assignment:?}: {direct:?} vs {tree:?}"),
             }
+            assert_eq!(vm.fuel_used(), interp.fuel_used(), "{assignment:?}");
         }
     }
 }

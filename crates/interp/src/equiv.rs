@@ -14,7 +14,6 @@ use afg_ast::Program;
 use afg_eml::{ChoiceAssignment, ChoiceProgram};
 
 use crate::bytecode::{CompiledProgram, TraceStep, Vm};
-use crate::choice_eval::ChoiceEvaluator;
 use crate::error::RuntimeError;
 use crate::inputs::InputSpace;
 use crate::interp::{run_function, ExecLimits, Outcome};
@@ -71,12 +70,12 @@ impl ExecResult {
 /// How candidate programs are executed during verification sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SweepMode {
-    /// Walk the shared (choice) AST per input — the original evaluator and
-    /// the semantic ground truth.
+    /// Concretise each candidate once and run it on the reference tree
+    /// interpreter ([`run_function`]) — the semantic ground truth.
     Tree,
     /// Lower the candidate space to bytecode once and run the deck through
     /// the [`Vm`] (behaviour- and fuel-identical; programs the compiler
-    /// cannot lower silently fall back to the tree walker).
+    /// cannot lower silently fall back to the tree interpreter).
     #[default]
     Compiled,
 }
@@ -246,11 +245,10 @@ impl EquivalenceOracle {
 
     /// Opens a choice-aware verification session for one candidate space.
     ///
-    /// The session evaluates candidates by walking the shared choice AST
-    /// under a [`ChoiceAssignment`] — no per-candidate program is ever
-    /// materialised.  This is the oracle API the synthesis back ends use in
-    /// their hot loop; [`ChoiceProgram::concretize`] remains the cold path
-    /// for rendering the final repaired program.
+    /// Under [`SweepMode::Compiled`] the session evaluates candidates on the
+    /// bytecode VM by loading a [`ChoiceAssignment`] into its selection
+    /// array — no per-candidate program is ever materialised.  This is the
+    /// oracle API the synthesis back ends use in their hot loop.
     pub fn choice_session<'a>(&'a self, program: &'a ChoiceProgram) -> ChoiceSession<'a> {
         let compiled = match self.config.sweep {
             SweepMode::Compiled => CompiledProgram::from_choice(program),
@@ -258,7 +256,7 @@ impl EquivalenceOracle {
         };
         ChoiceSession {
             oracle: self,
-            evaluator: ChoiceEvaluator::new(program, self.config.limits),
+            program,
             compiled,
             scratch: RefCell::new(SweepScratch::new(self.config.limits)),
         }
@@ -453,12 +451,15 @@ enum Link {
 }
 
 /// Reusable per-session scratch: the bytecode VM (operand stack, slot
-/// arena, selection array), a generation-stamped visited set (so a sweep
-/// allocates nothing — replacing the former per-sweep `vec![false;
-/// total]`), and the cross-candidate verdict cache.
+/// arena, selection array), the concretised candidate of the reference
+/// path, a generation-stamped visited set (so a sweep allocates nothing),
+/// and the cross-candidate verdict cache.
 #[derive(Debug, Clone)]
 struct SweepScratch {
     vm: Vm,
+    /// The candidate most recently prepared on the reference path (empty on
+    /// the compiled path).
+    concrete: Program,
     /// `marks[i] == generation` ⇔ input `i` was already checked during the
     /// current sweep.  Bumping the generation invalidates every mark at
     /// once, so the buffer never needs clearing.
@@ -477,6 +478,7 @@ impl SweepScratch {
     fn new(limits: ExecLimits) -> SweepScratch {
         SweepScratch {
             vm: Vm::new(limits),
+            concrete: Program::new(),
             marks: Vec::new(),
             generation: 0,
             cache: VerdictCache::default(),
@@ -518,13 +520,13 @@ impl SweepScratch {
 /// Under [`SweepMode::Compiled`] the choice program is lowered to bytecode
 /// once at session open; every candidate evaluation afterwards loads the
 /// assignment into the VM's selection array and sweeps the input deck
-/// through one reusable scratch arena.  The tree-walking
-/// [`ChoiceEvaluator`] remains both the fallback (for programs the
-/// compiler cannot lower) and the A/B baseline.
+/// through one reusable scratch arena.  The reference path concretises
+/// each candidate once and runs it on the tree interpreter; it serves both
+/// [`SweepMode::Tree`] and programs the compiler cannot lower.
 #[derive(Debug)]
 pub struct ChoiceSession<'a> {
     oracle: &'a EquivalenceOracle,
-    evaluator: ChoiceEvaluator<'a>,
+    program: &'a ChoiceProgram,
     compiled: Option<CompiledProgram>,
     scratch: RefCell<SweepScratch>,
 }
@@ -536,7 +538,7 @@ impl<'a> ChoiceSession<'a> {
     }
 
     /// Whether candidates run on the bytecode VM (as opposed to the
-    /// tree-walking fallback).
+    /// reference tree interpreter).
     pub fn is_compiled(&self) -> bool {
         self.compiled.is_some()
     }
@@ -553,26 +555,24 @@ impl<'a> ChoiceSession<'a> {
         }
     }
 
-    /// Loads `assignment` into the VM selection array (no-op on the tree
-    /// path, where the evaluator consults the assignment directly).
+    /// Loads `assignment` into the VM selection array, or concretises it
+    /// once on the reference path.
     fn prepare(&self, scratch: &mut SweepScratch, assignment: &ChoiceAssignment) {
-        if let Some(compiled) = &self.compiled {
-            scratch.vm.select(compiled, assignment);
+        match &self.compiled {
+            Some(compiled) => scratch.vm.select(compiled, assignment),
+            None => scratch.concrete = self.program.concretize(assignment),
         }
     }
 
     /// Runs the prepared candidate on one input.  `prepare` must have been
-    /// called with the same assignment first.
-    fn run_prepared(
-        &self,
-        scratch: &mut SweepScratch,
-        assignment: &ChoiceAssignment,
-        index: usize,
-    ) -> ExecResult {
+    /// called first.
+    fn run_prepared(&self, scratch: &mut SweepScratch, index: usize) -> ExecResult {
         scratch.inputs_run += 1;
+        let args = &self.oracle.inputs[index];
         let result = match &self.compiled {
-            Some(compiled) => scratch.vm.run(compiled, &self.oracle.inputs[index]),
-            None => self.evaluator.run(assignment, &self.oracle.inputs[index]),
+            Some(compiled) => scratch.vm.run(compiled, args),
+            // `None` selects `funcs[0]`, the concretised entry function.
+            None => run_function(&scratch.concrete, None, args, self.oracle.config.limits),
         };
         match result {
             Ok(outcome) => ExecResult::Ok(outcome),
@@ -580,12 +580,7 @@ impl<'a> ChoiceSession<'a> {
         }
     }
 
-    fn check_prepared(
-        &self,
-        scratch: &mut SweepScratch,
-        assignment: &ChoiceAssignment,
-        index: usize,
-    ) -> bool {
+    fn check_prepared(&self, scratch: &mut SweepScratch, index: usize) -> bool {
         // The compiled path checks in place: the outcome stays inside the
         // VM scratch (no output-vector move, no `ExecResult` built), which
         // matters in the CEGIS mix where most sweeps die after a handful
@@ -616,7 +611,7 @@ impl<'a> ChoiceSession<'a> {
             }
             return verdict;
         }
-        self.run_prepared(scratch, assignment, index).matches(
+        self.run_prepared(scratch, index).matches(
             &self.oracle.reference_results[index],
             self.oracle.config.compare_output,
         )
@@ -627,14 +622,14 @@ impl<'a> ChoiceSession<'a> {
     pub fn observe(&self, assignment: &ChoiceAssignment, index: usize) -> ExecResult {
         let scratch = &mut *self.scratch.borrow_mut();
         self.prepare(scratch, assignment);
-        self.run_prepared(scratch, assignment, index)
+        self.run_prepared(scratch, index)
     }
 
     /// Checks the candidate on a single input, by index.
     pub fn check_input(&self, assignment: &ChoiceAssignment, index: usize) -> bool {
         let scratch = &mut *self.scratch.borrow_mut();
         self.prepare(scratch, assignment);
-        self.check_prepared(scratch, assignment, index)
+        self.check_prepared(scratch, index)
     }
 
     /// Runs the candidate on an explicit list of input indices (the CEGIS
@@ -642,9 +637,7 @@ impl<'a> ChoiceSession<'a> {
     pub fn agrees_on(&self, assignment: &ChoiceAssignment, indices: &[usize]) -> bool {
         let scratch = &mut *self.scratch.borrow_mut();
         self.prepare(scratch, assignment);
-        indices
-            .iter()
-            .all(|&i| self.check_prepared(scratch, assignment, i))
+        indices.iter().all(|&i| self.check_prepared(scratch, i))
     }
 
     /// Finds the first input on which the candidate disagrees with the
@@ -679,13 +672,13 @@ impl<'a> ChoiceSession<'a> {
         scratch.sweeps += 1;
         self.prepare(scratch, assignment);
         for &index in priority {
-            if !self.check_prepared(scratch, assignment, index) {
+            if !self.check_prepared(scratch, index) {
                 return Some(index);
             }
         }
         let total = self.oracle.inputs.len();
         if priority.is_empty() {
-            return (0..total).find(|&i| !self.check_prepared(scratch, assignment, i));
+            return (0..total).find(|&i| !self.check_prepared(scratch, i));
         }
         // Mark the already-checked indices once instead of scanning the
         // priority list per input — with warm starts pre-seeding whole
@@ -698,7 +691,7 @@ impl<'a> ChoiceSession<'a> {
                 scratch.mark(index);
             }
         }
-        (0..total).find(|&i| !scratch.is_marked(i) && !self.check_prepared(scratch, assignment, i))
+        (0..total).find(|&i| !scratch.is_marked(i) && !self.check_prepared(scratch, i))
     }
 
     /// Deck-batched sweep: evaluates the candidate across the entire

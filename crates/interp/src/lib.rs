@@ -30,7 +30,6 @@
 
 pub mod builtins;
 pub mod bytecode;
-pub mod choice_eval;
 pub mod equiv;
 pub mod error;
 pub mod inputs;
@@ -38,7 +37,6 @@ pub mod interp;
 pub mod value;
 
 pub use bytecode::{CompiledProgram, Vm};
-pub use choice_eval::ChoiceEvaluator;
 pub use equiv::{
     classify, ChoiceSession, EquivalenceConfig, EquivalenceOracle, ExecResult, SweepMode,
     SweepStats, Verdict,

@@ -12,7 +12,7 @@
 //!   boundary; [`span`] is a no-op (one TLS read) when no trace is
 //!   installed, so instrumentation observes without steering and costs
 //!   nearly nothing when disabled. [`TraceHandle`] carries the context
-//!   across thread spawns (batch workers, portfolio racers).
+//!   across thread spawns (batch workers).
 //! - **Exposition**: [`Registry::render_prometheus`] serves the classic
 //!   Prometheus text format; [`TraceRing`] keeps the most recent N traces
 //!   for a `/debug/traces`-style endpoint.

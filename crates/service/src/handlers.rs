@@ -39,7 +39,12 @@ fn parse_body(request: &Request) -> Result<Json, (u16, Json)> {
 
 /// Applies the shared search-budget override fields of `body` to
 /// `synthesis` (`"max_cost"`, `"max_candidates"`, `"time_budget_ms"`).
-fn apply_budget_overrides(body: &Json, synthesis: &mut afg_core::SynthesisConfig) {
+/// Fails, naming the field, when `"time_budget_ms"` does not fit a
+/// `Duration`.
+fn apply_budget_overrides(
+    body: &Json,
+    synthesis: &mut afg_core::SynthesisConfig,
+) -> Result<(), String> {
     if let Some(max_cost) = body.get("max_cost").and_then(Json::as_i64) {
         synthesis.max_cost = max_cost.max(0) as usize;
     }
@@ -47,8 +52,10 @@ fn apply_budget_overrides(body: &Json, synthesis: &mut afg_core::SynthesisConfig
         synthesis.max_candidates = max_candidates.max(0) as usize;
     }
     if let Some(budget_ms) = body.get("time_budget_ms").and_then(Json::as_f64) {
-        synthesis.time_budget = Duration::from_secs_f64(budget_ms.max(0.0) / 1e3);
+        synthesis.time_budget = Duration::try_from_secs_f64(budget_ms.max(0.0) / 1e3)
+            .map_err(|_| "'time_budget_ms' is out of range".to_string())?;
     }
+    Ok(())
 }
 
 /// `POST /problems` — body:
@@ -59,9 +66,9 @@ fn apply_budget_overrides(body: &Json, synthesis: &mut afg_core::SynthesisConfig
 /// skeleton-cluster repair transfer, effective only with the cache),
 /// `"max_cost"`, `"max_candidates"`, `"time_budget_ms"` (search budget
 /// overrides),
-/// `"backend": "cegis" | "enum" | "portfolio"` (search engine),
+/// `"backend": "cegis" | "enum"` (search engine),
 /// `"sweep": "compiled" | "tree"` (verification back end: bytecode VM,
-/// default, or the tree-walking interpreter), and
+/// default, or the reference tree interpreter), and
 /// `"escalation": [{"label"?, "rules"?, "backend"?, "max_cost"?,
 /// "max_candidates"?, "time_budget_ms"?}, ...]` — an escalation ladder
 /// graded cheapest tier first (`"rules": n` truncates the error model to
@@ -74,11 +81,14 @@ pub(crate) fn handle_register(request: &Request, registry: &Registry) -> (u16, J
     };
 
     let mut config = GraderConfig::fast();
-    apply_budget_overrides(&body, &mut config.synthesis);
+    if let Err(message) = apply_budget_overrides(&body, &mut config.synthesis) {
+        return (422, error_json(&message));
+    }
     // Per-problem verification back end: "compiled" (default) sweeps the
     // input deck on the bytecode VM, "tree" opts this problem out and
-    // walks the AST — an escape hatch should a submission shape trip the
-    // compiler.  Outcomes are identical either way.
+    // runs each candidate on the reference interpreter — an escape hatch
+    // should a submission shape trip the compiler.  Outcomes are identical
+    // either way.
     if let Some(sweep_name) = body.get("sweep").and_then(Json::as_str) {
         match afg_core::SweepMode::parse(sweep_name) {
             Some(sweep) => config.equivalence.sweep = sweep,
@@ -99,7 +109,7 @@ pub(crate) fn handle_register(request: &Request, registry: &Registry) -> (u16, J
                 return (
                     422,
                     error_json(&format!(
-                        "unknown backend '{backend_name}' (expected cegis, enum or portfolio)"
+                        "unknown backend '{backend_name}' (expected cegis or enum)"
                     )),
                 );
             }
@@ -117,7 +127,9 @@ pub(crate) fn handle_register(request: &Request, registry: &Registry) -> (u16, J
                 );
             }
             let mut synthesis = config.synthesis.clone();
-            apply_budget_overrides(tier, &mut synthesis);
+            if let Err(message) = apply_budget_overrides(tier, &mut synthesis) {
+                return (422, error_json(&format!("escalation[{index}]: {message}")));
+            }
             let backend = match tier.get("backend").and_then(Json::as_str) {
                 Some(name) => match afg_core::Backend::parse(name) {
                     Some(backend) => Some(backend),

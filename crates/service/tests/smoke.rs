@@ -200,18 +200,19 @@ fn registers_a_custom_problem_from_eml_text_and_batch_grades() {
 }
 
 #[test]
-fn registers_with_portfolio_backend_and_escalation_ladder() {
+fn registers_with_enum_backend_and_escalation_ladder() {
     let (handle, mut client) = boot();
 
-    // Portfolio backend, two-tier escalation: an empty cheap model first
-    // (tier 0 can repair nothing and escalates), the full model second.
+    // Enumerative backend, two-tier escalation: an empty cheap model first
+    // (tier 0 can repair nothing and escalates), the full model second,
+    // which overrides the backend back to CEGIS.
     let (status, registered) = client
         .post(
             "/problems",
             &Json::object([
                 ("problem", Json::str("compDeriv")),
                 ("id", Json::str("deriv-ladder")),
-                ("backend", Json::str("portfolio")),
+                ("backend", Json::str("enum")),
                 ("max_candidates", Json::Int(2000)),
                 ("time_budget_ms", Json::Int(600_000)),
                 (
@@ -222,7 +223,10 @@ fn registers_with_portfolio_backend_and_escalation_ladder() {
                             ("rules", Json::Int(0)),
                             ("max_candidates", Json::Int(50)),
                         ]),
-                        Json::object([("label", Json::str("full"))]),
+                        Json::object([
+                            ("label", Json::str("full")),
+                            ("backend", Json::str("cegis")),
+                        ]),
                     ]),
                 ),
             ]),
@@ -231,7 +235,7 @@ fn registers_with_portfolio_backend_and_escalation_ladder() {
     assert_eq!(status, 201, "{registered}");
     assert_eq!(
         registered.get("backend").and_then(Json::as_str),
-        Some("portfolio")
+        Some("enum")
     );
     assert_eq!(
         registered.get("escalation_tiers").and_then(Json::as_i64),
@@ -247,10 +251,10 @@ fn registers_with_portfolio_backend_and_escalation_ladder() {
         Some("feedback")
     );
     let stats = graded.get("feedback").and_then(|f| f.get("stats")).unwrap();
-    let winner = stats.get("strategy").and_then(Json::as_str).unwrap();
-    assert!(
-        winner == "cegis" || winner == "enum",
-        "portfolio feedback must name the winning strategy, got '{winner}'"
+    assert_eq!(
+        stats.get("strategy").and_then(Json::as_str),
+        Some("cegis"),
+        "the repairing tier's backend override must take effect"
     );
 
     // /stats exposes backend, ladder and solver-work totals.
@@ -261,10 +265,7 @@ fn registers_with_portfolio_backend_and_escalation_ladder() {
         .iter()
         .find(|p| p.get("id").and_then(Json::as_str) == Some("deriv-ladder"))
         .expect("registered problem listed");
-    assert_eq!(
-        entry.get("backend").and_then(Json::as_str),
-        Some("portfolio")
-    );
+    assert_eq!(entry.get("backend").and_then(Json::as_str), Some("enum"));
     let tiers = entry.get("escalation").and_then(Json::as_array).unwrap();
     assert_eq!(tiers.len(), 2);
     assert_eq!(tiers[0].get("label").and_then(Json::as_str), Some("cheap"));
@@ -297,21 +298,61 @@ fn registers_with_portfolio_backend_and_escalation_ladder() {
         .contains("escalation[0]"));
 
     // Unknown backends are rejected with a helpful message.
-    let (status, body) = client
-        .post(
-            "/problems",
-            &Json::object([
+    for name in ["sketch", "portfolio"] {
+        let (status, body) = client
+            .post(
+                "/problems",
+                &Json::object([
+                    ("problem", Json::str("compDeriv")),
+                    ("backend", Json::str(name)),
+                ]),
+            )
+            .unwrap();
+        assert_eq!(status, 422, "{name}: {body}");
+        assert!(body
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap()
+            .contains("unknown backend"));
+    }
+
+    handle.shutdown();
+}
+
+#[test]
+fn out_of_range_time_budgets_are_rejected_with_422() {
+    let (handle, mut client) = boot();
+
+    // A budget past `Duration`'s range, at the problem level and in an
+    // escalation tier: a 422 naming the field, never a 500.
+    let huge = Json::Float(1e300);
+    let cases = [
+        (
+            Json::object([
                 ("problem", Json::str("compDeriv")),
-                ("backend", Json::str("sketch")),
+                ("time_budget_ms", huge.clone()),
             ]),
-        )
-        .unwrap();
-    assert_eq!(status, 422);
-    assert!(body
-        .get("error")
-        .and_then(Json::as_str)
-        .unwrap()
-        .contains("unknown backend"));
+            "'time_budget_ms'",
+        ),
+        (
+            Json::object([
+                ("problem", Json::str("compDeriv")),
+                (
+                    "escalation",
+                    Json::Array(vec![Json::object([("time_budget_ms", huge)])]),
+                ),
+            ]),
+            "escalation[0]: 'time_budget_ms'",
+        ),
+    ];
+    for (request, field) in cases {
+        let (status, body) = client.post("/problems", &request).unwrap();
+        assert_eq!(status, 422, "{body}");
+        let error = body.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains(field), "{error}");
+    }
+    let (status, _) = client.get("/healthz").unwrap();
+    assert_eq!(status, 200);
 
     handle.shutdown();
 }

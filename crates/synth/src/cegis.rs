@@ -20,8 +20,8 @@
 //! candidates are excluded with blocking clauses.
 //!
 //! The verification hot loop is **zero-materialisation**: candidates are
-//! evaluated through the oracle's [`afg_interp::ChoiceSession`], which walks
-//! the shared choice AST under the proposed assignment, and inputs are
+//! evaluated through the oracle's [`afg_interp::ChoiceSession`], which runs
+//! the compiled choice program under the proposed assignment, and inputs are
 //! checked **counterexamples first** — the inputs that killed earlier
 //! candidates almost always kill the next one too, so the common case
 //! rejects a candidate after a handful of runs.  `concretize` is never
@@ -37,7 +37,7 @@ use afg_sat::{SatResult, Solver};
 use crate::bitset::IndexBitset;
 use crate::config::{Solution, SynthesisConfig, SynthesisOutcome, SynthesisStats, WarmStart};
 use crate::encode::ChoiceEncoding;
-use crate::strategy::{CancelToken, SearchStrategy};
+use crate::strategy::SearchStrategy;
 
 /// The SAT-backed CEGIS/CEGISMIN synthesizer.
 #[derive(Debug, Clone, Default)]
@@ -58,17 +58,16 @@ impl SearchStrategy for CegisSolver {
     /// Searches for a minimal-cost choice assignment that makes the
     /// transformed submission equivalent to the reference on the bounded
     /// input space.
-    fn synthesize_with(
+    fn synthesize(
         &self,
         program: &ChoiceProgram,
         oracle: &EquivalenceOracle,
         config: &SynthesisConfig,
-        cancel: &CancelToken,
     ) -> SynthesisOutcome {
-        self.synthesize_with_hint(program, oracle, config, None, cancel)
+        self.synthesize_with_hint(program, oracle, config, None)
     }
 
-    /// As [`CegisSolver::synthesize_with`], but seeded with a transferred
+    /// As [`CegisSolver::synthesize`], but seeded with a transferred
     /// hypothesis: the verified minimal repair of a *skeleton cluster-mate*
     /// plus its counterexample set.  The hypothesis is verified with one
     /// bounded sweep before it is trusted; on success the CEGISMIN descent
@@ -82,7 +81,6 @@ impl SearchStrategy for CegisSolver {
         oracle: &EquivalenceOracle,
         config: &SynthesisConfig,
         warm: Option<&WarmStart>,
-        cancel: &CancelToken,
     ) -> SynthesisOutcome {
         let start = Instant::now();
         let mut stats = SynthesisStats {
@@ -176,7 +174,7 @@ impl SearchStrategy for CegisSolver {
         let mut proven_minimal = false;
 
         loop {
-            if cancel.is_cancelled() || start.elapsed() > config.time_budget {
+            if start.elapsed() > config.time_budget {
                 stats.wall_clock_limited = true;
                 break;
             }
@@ -204,17 +202,8 @@ impl SearchStrategy for CegisSolver {
 
             stats.candidates_checked += 1;
 
-            // Cancellation is polled once more between the SAT call and the
-            // verification sweep — the two potentially long steps of an
-            // iteration — so a portfolio loser stands down without paying
-            // for one last full bounded-input pass.
-            if cancel.is_cancelled() {
-                stats.wall_clock_limited = true;
-                break;
-            }
-
-            // Verification phase: bounded-exhaustive equivalence check over
-            // the shared choice AST, accumulated counterexamples first — the
+            // Verification phase: bounded-exhaustive equivalence check of
+            // the candidate, accumulated counterexamples first — the
             // fast-rejection path and the full sweep in one ordered pass.
             let verify_start = Instant::now();
             let verdict = session.find_counterexample(&assignment, &counterexamples);
@@ -438,13 +427,8 @@ def computeDeriv(poly_list_int):
             assignment: donor.assignment.clone(),
             counterexamples: donor.counterexamples.clone(),
         };
-        let warm_outcome = CegisSolver::new().synthesize_with_hint(
-            &cp,
-            &oracle,
-            &config,
-            Some(&warm),
-            &CancelToken::new(),
-        );
+        let warm_outcome =
+            CegisSolver::new().synthesize_with_hint(&cp, &oracle, &config, Some(&warm));
         let warm_solution = warm_outcome.solution().expect("fixable");
         assert_eq!(warm_solution.cost, donor.cost, "cost-identical to cold");
         assert!(warm_solution.minimal, "the descent still proves minimality");
@@ -469,13 +453,7 @@ def computeDeriv(poly_list_int):
             assignment: afg_eml::ChoiceAssignment::default_choices(),
             counterexamples: vec![0],
         };
-        let refuted = CegisSolver::new().synthesize_with_hint(
-            &cp,
-            &oracle,
-            &config,
-            Some(&bogus),
-            &CancelToken::new(),
-        );
+        let refuted = CegisSolver::new().synthesize_with_hint(&cp, &oracle, &config, Some(&bogus));
         // Cost-0 hypotheses are rejected up front (the default assignment
         // is already known bad), so this counts as no attempt.
         let refuted_solution = refuted.solution().expect("fixable");
@@ -489,40 +467,10 @@ def computeDeriv(poly_list_int):
             assignment: afg_eml::ChoiceAssignment::from_pairs([(afg_eml::ChoiceId(9_999), 1)]),
             counterexamples: vec![99_999],
         };
-        let ignored = CegisSolver::new().synthesize_with_hint(
-            &cp,
-            &oracle,
-            &config,
-            Some(&misfit),
-            &CancelToken::new(),
-        );
+        let ignored = CegisSolver::new().synthesize_with_hint(&cp, &oracle, &config, Some(&misfit));
         let ignored_solution = ignored.solution().expect("fixable");
         assert_eq!(ignored_solution.cost, donor.cost);
         assert!(!ignored_solution.stats.warm_start_attempted);
-    }
-
-    #[test]
-    fn cancellation_stops_the_search_cooperatively() {
-        let student = parse_program(
-            "def computeDeriv(poly):\n    if len(poly) == 1:\n        return [0]\n    out = []\n    for i in range(0, len(poly)):\n        out.append(i * poly[i])\n    return out\n",
-        )
-        .unwrap();
-        let cp = apply_error_model(
-            &student,
-            Some("computeDeriv"),
-            &library::compute_deriv_model(),
-        )
-        .unwrap();
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let outcome =
-            CegisSolver::new().synthesize_with(&cp, &oracle(), &SynthesisConfig::fast(), &cancel);
-        // A pre-cancelled search gives up before proposing any candidate
-        // (the cheap already-correct check still runs).
-        match outcome {
-            SynthesisOutcome::Timeout(stats) => assert_eq!(stats.cegis_iterations, 0),
-            other => panic!("expected Timeout from a cancelled search, got {other:?}"),
-        }
     }
 
     #[test]

@@ -69,14 +69,12 @@ pub struct SynthesisStats {
     /// Checks answered from the verdict cache without executing (a subset
     /// of `sweep_inputs`; 0 on the tree path or with the cache off).
     pub sweep_cache_hits: u64,
-    /// Verdict-cache trie nodes held at the end of the search (high-water
-    /// across merged strategies).
+    /// Verdict-cache trie nodes held at the end of the search.
     pub sweep_cache_nodes: u64,
-    /// Which strategy produced this result (`"cegis"`, `"enum"`, …; for a
-    /// portfolio run, the *winning* strategy).
+    /// Which strategy produced this result (`"cegis"` or `"enum"`).
     pub strategy: &'static str,
-    /// Whether the search was stopped by the wall clock or a cancellation
-    /// (as opposed to exhausting its candidate budget).  A wall-clock stop
+    /// Whether the search was stopped by the wall clock (as opposed to
+    /// exhausting its candidate budget).  A wall-clock stop
     /// depends on machine load, so such outcomes must never be cached; a
     /// candidate-budget stop replays identically anywhere.
     pub wall_clock_limited: bool,
@@ -100,37 +98,6 @@ pub struct SynthesisStats {
     pub verify_elapsed: Duration,
 }
 
-impl SynthesisStats {
-    /// Folds another strategy's counters into this one (used by the
-    /// portfolio so the reported work covers *all* racers, not just the
-    /// winner).  `strategy`, `descent_learnts`, `elapsed` and
-    /// `wall_clock_limited` are the winner's and are left untouched — a
-    /// definitive winner's proof stays deterministic even when the losers
-    /// were (deliberately) stopped by cancellation; the portfolio ORs the
-    /// flag in itself for the non-definitive fallback case.
-    pub fn absorb_work(&mut self, other: &SynthesisStats) {
-        self.candidates_checked += other.candidates_checked;
-        self.cegis_iterations += other.cegis_iterations;
-        self.counterexamples += other.counterexamples;
-        self.sat_conflicts += other.sat_conflicts;
-        self.sat_propagations += other.sat_propagations;
-        self.sat_learnts += other.sat_learnts;
-        self.restarts += other.restarts;
-        self.sweeps += other.sweeps;
-        self.sweep_inputs += other.sweep_inputs;
-        self.sweep_compiled |= other.sweep_compiled;
-        self.sweep_cache_hits += other.sweep_cache_hits;
-        self.sweep_cache_nodes = self.sweep_cache_nodes.max(other.sweep_cache_nodes);
-        self.sat_elapsed += other.sat_elapsed;
-        self.verify_elapsed += other.verify_elapsed;
-        // The warm-start flags describe the race as a whole — a transfer
-        // tried by a losing racer must stay visible in the merged report,
-        // or the cluster index undercounts whenever the other racer wins.
-        self.warm_start_attempted |= other.warm_start_attempted;
-        self.warm_start_verified |= other.warm_start_verified;
-    }
-}
-
 /// A repair found by the synthesizer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Solution {
@@ -141,8 +108,7 @@ pub struct Solution {
     pub cost: usize,
     /// Whether minimality was *proven* (the search space below `cost` was
     /// exhausted) rather than being the best candidate found before the
-    /// budget ran out.  The portfolio only declares a winner on proven
-    /// results.
+    /// budget ran out.
     pub minimal: bool,
     /// The oracle input indices accumulated as counterexamples during the
     /// search, in discovery order.  The cluster index stores them with the
@@ -211,23 +177,11 @@ impl SynthesisOutcome {
         }
     }
 
-    /// Mutable access to the carried statistics (used by the portfolio to
-    /// fold the losers' work into the winner's report).
-    pub fn stats_mut(&mut self) -> Option<&mut SynthesisStats> {
-        match self {
-            SynthesisOutcome::AlreadyCorrect => None,
-            SynthesisOutcome::Fixed(solution) => Some(&mut solution.stats),
-            SynthesisOutcome::NoRepairFound(stats) | SynthesisOutcome::Timeout(stats) => {
-                Some(stats)
-            }
-        }
-    }
-
     /// Whether this outcome settles the search: the submission is correct,
     /// provably unrepairable within the configured bounds, or repaired with
     /// *proven* minimal cost.  Budget-limited outcomes (timeouts,
-    /// best-so-far repairs) are not definitive — another strategy might
-    /// still do better, which is exactly what the portfolio exploits.
+    /// best-so-far repairs) are not definitive — a larger budget might
+    /// still do better.
     pub fn is_definitive(&self) -> bool {
         match self {
             SynthesisOutcome::AlreadyCorrect | SynthesisOutcome::NoRepairFound(_) => true,
@@ -298,34 +252,5 @@ mod tests {
         assert!(!SynthesisOutcome::Fixed(solution).is_definitive());
         assert!(SynthesisOutcome::AlreadyCorrect.stats().is_none());
         assert!(SynthesisOutcome::Timeout(stats).stats().is_some());
-    }
-
-    #[test]
-    fn absorbing_work_sums_counters_but_keeps_identity() {
-        let mut winner = SynthesisStats {
-            candidates_checked: 10,
-            sat_conflicts: 5,
-            strategy: "cegis",
-            descent_learnts: vec![1, 2],
-            ..SynthesisStats::default()
-        };
-        let loser = SynthesisStats {
-            candidates_checked: 90,
-            sat_conflicts: 1,
-            restarts: 2,
-            strategy: "enum",
-            warm_start_attempted: true,
-            warm_start_verified: true,
-            ..SynthesisStats::default()
-        };
-        winner.absorb_work(&loser);
-        assert_eq!(winner.candidates_checked, 100);
-        assert_eq!(winner.sat_conflicts, 6);
-        assert_eq!(winner.restarts, 2);
-        assert_eq!(winner.strategy, "cegis");
-        assert_eq!(winner.descent_learnts, vec![1, 2]);
-        // A losing racer's tried transfer survives the merge.
-        assert!(winner.warm_start_attempted);
-        assert!(winner.warm_start_verified);
     }
 }

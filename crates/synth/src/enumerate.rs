@@ -15,7 +15,7 @@ use afg_interp::{ChoiceSession, EquivalenceOracle};
 
 use crate::bitset::IndexBitset;
 use crate::config::{Solution, SynthesisConfig, SynthesisOutcome, SynthesisStats};
-use crate::strategy::{CancelToken, SearchStrategy};
+use crate::strategy::SearchStrategy;
 
 /// Copies the session's verification-work counters into the final report
 /// and attaches the verification share to the current trace (if any).
@@ -46,12 +46,11 @@ impl SearchStrategy for EnumerativeSolver {
     }
 
     /// Searches candidates in order of increasing correction count.
-    fn synthesize_with(
+    fn synthesize(
         &self,
         program: &ChoiceProgram,
         oracle: &EquivalenceOracle,
         config: &SynthesisConfig,
-        cancel: &CancelToken,
     ) -> SynthesisOutcome {
         let start = Instant::now();
         let mut stats = SynthesisStats {
@@ -83,7 +82,7 @@ impl SearchStrategy for EnumerativeSolver {
         for cost in 1..=config.max_cost.min(sites.len()) {
             let mut combination = (0..cost).collect::<Vec<usize>>();
             loop {
-                if cancel.is_cancelled() || start.elapsed() > config.time_budget {
+                if start.elapsed() > config.time_budget {
                     stats.wall_clock_limited = true;
                     harvest_sweeps(&mut stats, &session);
                     stats.elapsed = start.elapsed();
@@ -131,7 +130,7 @@ impl SearchStrategy for EnumerativeSolver {
                             }
                         }
                     }
-                    if cancel.is_cancelled() || start.elapsed() > config.time_budget {
+                    if start.elapsed() > config.time_budget {
                         stats.wall_clock_limited = true;
                         harvest_sweeps(&mut stats, &session);
                         stats.elapsed = start.elapsed();

@@ -242,84 +242,6 @@ fn assignment_cost_counts_non_default_choices() {
     }
 }
 
-/// The zero-materialisation refactor's differential property: evaluating a
-/// candidate by walking the choice AST under an assignment agrees with
-/// concretising the assignment and interpreting the resulting program — for
-/// every benchmark problem, across default, single-choice and random
-/// multi-choice assignments, on the oracle's bounded inputs.
-#[test]
-fn choice_evaluation_agrees_with_concretisation_on_corpus_problems() {
-    use autofeedback::core::GraderConfig;
-    use autofeedback::interp::{ChoiceEvaluator, ExecLimits};
-
-    let limits = ExecLimits::fast();
-    for problem in problems::all_problems() {
-        let grader = problem.autograder(GraderConfig::fast());
-        let inputs = grader.oracle().inputs();
-        for variant in problem.correct_variants.iter().take(2) {
-            let student = parse_program(variant).expect("corpus variants parse");
-            let Ok(choices) = apply_error_model(&student, Some(problem.entry), &problem.model)
-            else {
-                continue;
-            };
-
-            // Default, every single non-default selection, plus seeded
-            // random multi-choice assignments.
-            let mut assignments = vec![ChoiceAssignment::default_choices()];
-            for info in &choices.choices {
-                for option in 1..info.options.len() {
-                    assignments.push(ChoiceAssignment::from_pairs([(info.id, option)]));
-                }
-            }
-            let mut rng = StdRng::seed_from_u64(problem.id.len() as u64);
-            for _ in 0..8 {
-                let mut assignment = ChoiceAssignment::default_choices();
-                for info in &choices.choices {
-                    if info.options.len() > 1 && rng.gen_bool(0.3) {
-                        assignment.select(info.id, rng.gen_range(1..info.options.len()));
-                    }
-                }
-                assignments.push(assignment);
-            }
-
-            let evaluator = ChoiceEvaluator::new(&choices, limits);
-            for (which, assignment) in assignments.iter().enumerate().take(24) {
-                let concrete = choices.concretize(assignment);
-                // Sample the bounded input space: small spaces are swept
-                // exhaustively, large ones by stride, touching short and
-                // long inputs alike.
-                let stride = (inputs.len() / 64).max(1);
-                for args in inputs.iter().step_by(stride) {
-                    let direct = evaluator.run(assignment, args);
-                    let materialised = autofeedback::interp::run_function(
-                        &concrete,
-                        Some(problem.entry),
-                        args,
-                        limits,
-                    );
-                    match (&direct, &materialised) {
-                        (Ok(a), Ok(b)) => assert_eq!(
-                            a, b,
-                            "{}: assignment #{which} diverged on {args:?}",
-                            problem.id
-                        ),
-                        (Err(a), Err(b)) => assert_eq!(
-                            a.kind(),
-                            b.kind(),
-                            "{}: assignment #{which} error kinds diverged on {args:?}",
-                            problem.id
-                        ),
-                        _ => panic!(
-                            "{}: assignment #{which} diverged on {args:?}: {direct:?} vs {materialised:?}",
-                            problem.id
-                        ),
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// The student program keeps its own parameter names, but the declared types
 /// live on the reference; borrow them so the oracle enumerates the same
 /// input space for both.
