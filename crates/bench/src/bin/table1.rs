@@ -106,6 +106,14 @@ fn main() {
             rows.iter().map(|r| r.timeouts).sum::<usize>().to_json(),
         ),
         (
+            "core_clauses",
+            rows.iter().map(|r| r.core_clauses).sum::<u64>().to_json(),
+        ),
+        (
+            "core_literals",
+            rows.iter().map(|r| r.core_literals).sum::<u64>().to_json(),
+        ),
+        (
             "sweeps",
             rows.iter().map(|r| r.sweeps).sum::<u64>().to_json(),
         ),
@@ -160,7 +168,7 @@ fn main() {
             options.sweep.name()
         );
         println!(
-            "Solver: {} conflicts, {} learnts, {} propagations, {} restarts, {} timeouts ({} backend)",
+            "Solver: {} conflicts, {} learnts, {} propagations, {} restarts, {} timeouts, {} core clauses of {} literals ({} backend)",
             solver.get("sat_conflicts").and_then(Json::as_i64).unwrap_or(0),
             solver.get("sat_learnts").and_then(Json::as_i64).unwrap_or(0),
             solver
@@ -169,6 +177,11 @@ fn main() {
                 .unwrap_or(0),
             solver.get("restarts").and_then(Json::as_i64).unwrap_or(0),
             solver.get("timeouts").and_then(Json::as_i64).unwrap_or(0),
+            solver.get("core_clauses").and_then(Json::as_i64).unwrap_or(0),
+            solver
+                .get("core_literals")
+                .and_then(Json::as_i64)
+                .unwrap_or(0),
             options.backend.name()
         );
     }

@@ -303,9 +303,9 @@ mod tests {
             warm.totals.transfer_hits > 0,
             "cohort redundancy must produce transfer hits: {cluster:?}"
         );
-        // The saving shows up as SAT conflicts: a verified hypothesis
-        // starts the descent at its cost, skipping the proposals the cold
-        // run refutes on the way down.  (Candidate counts can tie on tiny
+        // The saving shows up as SAT conflicts: a verified hypothesis caps
+        // the ascent below its cost, skipping the proposals the cold run
+        // refutes on the way up.  (Candidate counts can tie on tiny
         // problems — one hypothesis sweep replaces one proposal.)
         assert!(
             warm.sat_conflicts < cold.sat_conflicts,

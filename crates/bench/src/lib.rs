@@ -81,6 +81,10 @@ pub struct Table1Row {
     pub sat_learnts: u64,
     /// SAT restarts summed over the fixed attempts.
     pub restarts: u64,
+    /// Consultation-core blocking clauses summed over the fixed attempts.
+    pub core_clauses: u64,
+    /// Total literal width of those clauses.
+    pub core_literals: u64,
     /// Verification sweeps summed over the fixed attempts.
     pub sweeps: u64,
     /// Candidate executions across those sweeps (one per
@@ -186,6 +190,8 @@ impl afg_json::ToJson for Table1Row {
             ("sat_propagations", self.sat_propagations.to_json()),
             ("sat_learnts", self.sat_learnts.to_json()),
             ("restarts", self.restarts.to_json()),
+            ("core_clauses", self.core_clauses.to_json()),
+            ("core_literals", self.core_literals.to_json()),
             ("sweeps", self.sweeps.to_json()),
             ("sweep_inputs", self.sweep_inputs.to_json()),
             ("verify_ms", self.verify_elapsed.to_json()),
@@ -236,6 +242,9 @@ impl afg_json::FromJson for Table1Row {
             sat_propagations: wide("sat_propagations")?,
             sat_learnts: wide("sat_learnts")?,
             restarts: wide("restarts")?,
+            // Absent in pre-core-blocking documents: read as 0.
+            core_clauses: wide("core_clauses").unwrap_or(0),
+            core_literals: wide("core_literals").unwrap_or(0),
             // Absent in pre-sweep documents: read as 0.
             sweeps: wide("sweeps").unwrap_or(0),
             sweep_inputs: wide("sweep_inputs").unwrap_or(0),
@@ -350,6 +359,8 @@ fn aggregate(problem: &Problem, records: &[GradeRecord]) -> Table1Row {
     let mut sat_propagations = 0u64;
     let mut sat_learnts = 0u64;
     let mut restarts = 0u64;
+    let mut core_clauses = 0u64;
+    let mut core_literals = 0u64;
     let mut sweeps = 0u64;
     let mut sweep_inputs = 0u64;
     let mut verify_elapsed = Duration::ZERO;
@@ -358,6 +369,8 @@ fn aggregate(problem: &Problem, records: &[GradeRecord]) -> Table1Row {
         sat_propagations += stats.sat_propagations;
         sat_learnts += stats.sat_learnts;
         restarts += stats.restarts;
+        core_clauses += u64::from(stats.core_clauses);
+        core_literals += u64::from(stats.core_literals);
         sweeps += stats.sweeps;
         sweep_inputs += stats.sweep_inputs;
         verify_elapsed += stats.verify_elapsed;
@@ -398,6 +411,8 @@ fn aggregate(problem: &Problem, records: &[GradeRecord]) -> Table1Row {
         sat_propagations,
         sat_learnts,
         restarts,
+        core_clauses,
+        core_literals,
         sweeps,
         sweep_inputs,
         verify_elapsed,
@@ -775,6 +790,8 @@ mod tests {
             sat_propagations: 0,
             sat_learnts: 0,
             restarts: 0,
+            core_clauses: 0,
+            core_literals: 0,
             sweeps: 0,
             sweep_inputs: 0,
             verify_elapsed: Duration::ZERO,
@@ -805,6 +822,8 @@ mod tests {
             sat_propagations: 99_000,
             sat_learnts: 77,
             restarts: 3,
+            core_clauses: 310,
+            core_literals: 1_150,
             sweeps: 1_200,
             sweep_inputs: 48_000,
             verify_elapsed: Duration::from_millis(36),

@@ -3,22 +3,24 @@
 //! For every corpus problem and a seeded mutant sweep over its correct
 //! variants, both back ends must agree on the verdict: already
 //! correct, repairable at the *same* minimal cost, or not repairable
-//! within the bounds.  The search budget is candidate-bounded and the cost
-//! bound is 1 (single injected mistake), so every back end runs its search
-//! space to exhaustion and the comparison is deterministic — a divergence
-//! is a real bug in one of the engines, not budget noise.
+//! within the bounds.  The search budget is candidate-bounded, so the
+//! comparison is deterministic — a divergence is a real bug in one of the
+//! engines, not budget noise.  Cost bound 1 (single injected mistake)
+//! runs every search to exhaustion; cost bound 2 is where CEGIS's cost
+//! ascent differs from a single bound, and is checked on the mutant sweep
+//! and per submission on small Table-1 corpora.
 
 use std::time::Duration;
 
-use afg_corpus::problems;
 use afg_corpus::rng::StdRng;
+use afg_corpus::{generate_corpus, problems, CorpusSpec};
 use afg_eml::apply_error_model;
 use afg_synth::{Backend, SynthesisConfig, SynthesisOutcome};
 
-fn config() -> SynthesisConfig {
+fn config(max_cost: usize, max_candidates: usize) -> SynthesisConfig {
     SynthesisConfig {
-        max_cost: 1,
-        max_candidates: 200_000,
+        max_cost,
+        max_candidates,
         time_budget: Duration::from_secs(600),
     }
 }
@@ -114,6 +116,15 @@ fn clustered_warm_grading_is_outcome_identical_to_cold() {
 
 #[test]
 fn all_backends_agree_on_repair_cost_across_the_corpus() {
+    all_backends_agree_on_the_mutant_sweep(&config(1, 200_000));
+}
+
+#[test]
+fn all_backends_agree_on_repair_cost_across_the_corpus_at_cost_two() {
+    all_backends_agree_on_the_mutant_sweep(&config(2, 200_000));
+}
+
+fn all_backends_agree_on_the_mutant_sweep(config: &SynthesisConfig) {
     let mut checked = 0usize;
     for problem in problems::all_problems() {
         let grader = problem.autograder(afg_core::GraderConfig::fast());
@@ -143,8 +154,8 @@ fn all_backends_agree_on_repair_cost_across_the_corpus() {
             else {
                 continue; // mutant lost its entry function — nothing to compare
             };
-            let cegis = Backend::Cegis.synthesize(&choice_program, oracle, &config());
-            let enumerative = Backend::Enumerative.synthesize(&choice_program, oracle, &config());
+            let cegis = Backend::Cegis.synthesize(&choice_program, oracle, config);
+            let enumerative = Backend::Enumerative.synthesize(&choice_program, oracle, config);
 
             let cegis_verdict = verdict(&cegis, &format!("{label} cegis"));
             let enum_verdict = verdict(&enumerative, &format!("{label} enum"));
@@ -159,4 +170,41 @@ fn all_backends_agree_on_repair_cost_across_the_corpus() {
         checked >= problems::all_problems().len(),
         "the sweep must exercise every problem (checked {checked})"
     );
+}
+
+/// Per submission, on small Table-1-like corpora at cost bound 2: wherever
+/// enumeration settles a submission within its candidate budget, CEGIS
+/// settles it too, with the same verdict and cost.
+#[test]
+fn cegis_matches_enumeration_per_submission_on_table1_corpora() {
+    let config = config(2, 3_000);
+    let mut compared = 0usize;
+    for problem in problems::all_problems() {
+        let grader = problem.autograder(afg_core::GraderConfig::fast());
+        let spec = CorpusSpec::table1_like(16, 20130616 ^ problem.id.len() as u64);
+        for (index, submission) in generate_corpus(&problem, &spec).iter().enumerate() {
+            let Ok(program) = afg_parser::parse_program(&submission.source) else {
+                continue;
+            };
+            let Ok(choice_program) =
+                apply_error_model(&program, Some(problem.entry), grader.model())
+            else {
+                continue;
+            };
+            let label = format!("{}#{index}", problem.id);
+            let enumerative =
+                Backend::Enumerative.synthesize(&choice_program, grader.oracle(), &config);
+            if matches!(enumerative, SynthesisOutcome::Timeout(_)) {
+                continue;
+            }
+            let cegis = Backend::Cegis.synthesize(&choice_program, grader.oracle(), &config);
+            assert_eq!(
+                verdict(&cegis, &format!("{label} cegis")),
+                verdict(&enumerative, &format!("{label} enum")),
+                "{label}: cegis and enumeration disagree"
+            );
+            compared += 1;
+        }
+    }
+    assert!(compared >= 100, "too few submissions compared: {compared}");
 }

@@ -8,8 +8,8 @@
 //! differing in the constants they filled in — a different loop bound, a
 //! different initialiser, a different debug string.  Their canonical forms
 //! differ, so the cache misses; but their search problems are nearly
-//! identical, so re-running a full CEGISMIN descent from the top of the
-//! cost scale is mostly wasted work.
+//! identical, so re-running a full CEGISMIN cost ascent is mostly wasted
+//! work.
 //!
 //! The cluster index keys submissions on their **skeleton source**
 //! ([`afg_ast::canon::skeleton_source`]: alpha-renamed *and*
@@ -22,19 +22,18 @@
 //! * the hypothesis is **re-verified** against the mate with one bounded
 //!   sweep (skeleton equality implies nothing about behaviour — that is
 //!   the whole point of the coarser key);
-//! * on success, the CEGISMIN minimisation descent opens at the hypothesis
-//!   cost instead of `max_cost` and the counterexample bitset is
-//!   pre-seeded — typically one verification sweep plus one Unsat proof
-//!   instead of a full descent;
-//! * on failure, the hypothesis becomes an ordinary blocked candidate and
+//! * on success, the CEGISMIN cost ascent stops below the hypothesis cost
+//!   instead of at `max_cost` and the counterexample set is pre-seeded —
+//!   typically one verification sweep plus the Unsat proofs below it;
+//! * on failure, the hypothesis becomes an ordinary refuted candidate and
 //!   the search proceeds cold.
 //!
-//! Either way the descent still runs to Unsat, so **outcomes are
-//! cost-identical to cold grading** (asserted by `afg-bench`'s
-//! differential test and the classroom CI smoke step).  Two guard rails
-//! keep that true even when a search budget truncates the descent: a
-//! warm-started search that ends *without* a proof (best-so-far repair or
-//! timeout) is thrown away and the tier re-grades cold — a truncated warm
+//! Either way the ascent still ends in a verified minimum or Unsat, so
+//! **outcomes are cost-identical to cold grading** (asserted by
+//! `afg-bench`'s differential test and the classroom CI smoke step).  Two
+//! guard rails keep that true even when a search budget truncates the
+//! ascent: a warm-started search that ends *without* a proof (unproven
+//! repair or timeout) is thrown away and the tier re-grades cold — a truncated warm
 //! trajectory could otherwise make verdicts depend on cluster arrival
 //! order — while a warm run that ends *with* a proof is kept, since a
 //! proven verdict is deterministic (at worst it strengthens a cold
@@ -101,7 +100,7 @@ pub struct ClusterStats {
     /// Warm starts actually tried by a search (hypothesis fit the mate's
     /// choice program and the mate was incorrect).
     pub transfer_attempts: u64,
-    /// Tried hypotheses that verified, short-circuiting the descent.
+    /// Tried hypotheses that verified, capping the cost ascent.
     pub transfer_hits: u64,
     /// Estimated SAT conflicts saved by hits: Σ max(0, donor conflicts −
     /// warm-run conflicts).

@@ -412,10 +412,10 @@ impl Autograder {
                 .is_some_and(|stats| stats.warm_start_attempted);
             if warm_attempted && !outcome.is_definitive() {
                 // The budget truncated a warm-started search.  A truncated
-                // descent explores a different trajectory than cold would
+                // ascent explores a different trajectory than cold would
                 // (the hypothesis sweep, its blocking clause and the
                 // pre-seeded counterexamples all shift which candidates the
-                // budget covers), so the best-so-far verdict could differ
+                // budget covers), so the truncated verdict could differ
                 // from cold grading's — and verdicts must never depend on
                 // cluster arrival order.  Re-grade cold and use that result;
                 // the transfer is recorded as a (costly) miss.
@@ -456,8 +456,8 @@ impl Autograder {
                 SynthesisOutcome::Fixed(solution) => {
                     let corrections =
                         corrections_from_assignment(&choice_program, &solution.assignment);
-                    // A proven-minimal repair is a deterministic verdict; a
-                    // best-so-far repair is only cacheable when the search
+                    // A proven-minimal repair is a deterministic verdict; an
+                    // unproven repair is only cacheable when the search
                     // stopped on its candidate budget — if the wall clock
                     // cut it (or an earlier tier) short, an idle machine
                     // could find a cheaper repair, and caching would pin
@@ -556,7 +556,7 @@ pub(crate) struct TracedGrade {
 pub(crate) struct TransferRecord {
     /// The search actually spent a verification sweep on the hypothesis.
     pub attempted: bool,
-    /// The hypothesis verified and warm-started the descent.
+    /// The hypothesis verified and capped the cost ascent.
     pub verified: bool,
 }
 

@@ -73,7 +73,10 @@ impl ToJson for Feedback {
                     ("sweep_inputs", self.stats.sweep_inputs.to_json()),
                     ("sweep_compiled", Json::Bool(self.stats.sweep_compiled)),
                     ("sweep_cache_hits", self.stats.sweep_cache_hits.to_json()),
-                    ("sweep_cache_nodes", self.stats.sweep_cache_nodes.to_json()),
+                    (
+                        "sweep_cache_nodes",
+                        u64::from(self.stats.sweep_cache_nodes).to_json(),
+                    ),
                     ("strategy", Json::str(self.stats.strategy)),
                     ("elapsed_ms", self.stats.elapsed.to_json()),
                 ]),

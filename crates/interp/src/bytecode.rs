@@ -282,6 +282,12 @@ impl CompiledProgram {
     pub fn site_count(&self) -> usize {
         self.site_ids.len()
     }
+
+    /// The choice id behind a dense site index (as recorded in
+    /// [`TraceStep::site`]).
+    pub(crate) fn site_id(&self, site: u32) -> ChoiceId {
+        self.site_ids[site as usize]
+    }
 }
 
 /// A live loop iterator: materialised items, or the lazy `range` form.
@@ -354,6 +360,9 @@ pub struct Vm {
     iters: Vec<VmIter>,
     selection: Vec<usize>,
     trace: Vec<TraceStep>,
+    /// Per site, the `bound` of its consultation already in `trace` this
+    /// run (0 = none), so repeats are not recorded twice.
+    traced_bound: Vec<u32>,
     stdin: Vec<Value>,
     stdin_pos: usize,
 }
@@ -372,6 +381,7 @@ impl Vm {
             iters: Vec::new(),
             selection: Vec::new(),
             trace: Vec::new(),
+            traced_bound: Vec::new(),
             stdin: Vec::new(),
             stdin_pos: 0,
         }
@@ -382,21 +392,31 @@ impl Vm {
         &self.selection
     }
 
-    /// The choice-site consultations of the last run, in execution order.
+    /// The choice-site consultations of the last run, in execution order,
+    /// each `(site, bound)` pair once: a repeat takes the option its first
+    /// consultation took (the selection is fixed for the run), so it adds
+    /// nothing to what the run is a function of.  Loops consult their
+    /// body's sites on every iteration; keeping only first consultations
+    /// bounds the trace by the site count rather than the iteration count.
     pub fn trace(&self) -> &[TraceStep] {
         &self.trace
     }
 
     /// Reads the selected option for `site`, clamped to the consulting
-    /// instruction's option count, and records the consultation.
+    /// instruction's option count, and records the consultation unless
+    /// this run already recorded it.
     #[inline]
     fn choose(&mut self, site: u32, bound: usize) -> usize {
         let option = self.selection[site as usize].min(bound - 1);
-        self.trace.push(TraceStep {
-            site,
-            bound: bound as u32,
-            option: option as u32,
-        });
+        let traced = &mut self.traced_bound[site as usize];
+        if *traced != bound as u32 {
+            *traced = bound as u32;
+            self.trace.push(TraceStep {
+                site,
+                bound: bound as u32,
+                option: option as u32,
+            });
+        }
         option
     }
 
@@ -409,6 +429,9 @@ impl Vm {
         // entries beats a per-site assignment lookup.
         self.selection.clear();
         self.selection.resize(program.site_ids.len(), 0);
+        self.trace.clear();
+        self.traced_bound.clear();
+        self.traced_bound.resize(program.site_ids.len(), 0);
         for (id, option) in assignment.non_default() {
             if let Some(&site) = program.site_map.get(&id) {
                 self.selection[site as usize] = option;
@@ -446,7 +469,9 @@ impl Vm {
         self.fuel = self.limits.fuel;
         self.depth = 0;
         self.output_len = 0;
-        self.trace.clear();
+        for step in self.trace.drain(..) {
+            self.traced_bound[step.site as usize] = 0;
+        }
         self.stack.clear();
         self.slots.clear();
         self.iters.clear();
@@ -2260,6 +2285,35 @@ def f(x):
 ";
         assert_same(source, "f", &[Value::Int(5)]);
         assert_same(source, "f", &[Value::Int(0)]);
+    }
+
+    #[test]
+    fn traces_record_each_consultation_once_per_run() {
+        use afg_eml::{apply_error_model, library, ErrorModel};
+        let student = parse_program(
+            "def iterPower(base, exp):\n    result = 1\n    for i in range(exp):\n        result = result * base\n    return result\n",
+        )
+        .unwrap();
+        let model = ErrorModel::new("m").with_rule(library::arith_op_rule());
+        let cp = apply_error_model(&student, Some("iterPower"), &model).unwrap();
+        let compiled = CompiledProgram::from_choice(&cp).expect("compiles");
+        let mut vm = Vm::new(ExecLimits::fast());
+        vm.select(&compiled, &ChoiceAssignment::default_choices());
+        // The loop body's site is consulted on each of five iterations but
+        // recorded once.
+        vm.run(&compiled, &[Value::Int(2), Value::Int(5)]).unwrap();
+        let trace = vm.trace().to_vec();
+        assert!(!trace.is_empty());
+        let mut pairs: Vec<(u32, u32)> = trace.iter().map(|s| (s.site, s.bound)).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        assert_eq!(pairs.len(), trace.len(), "{trace:?}");
+        // The next run records its consultations afresh...
+        vm.run(&compiled, &[Value::Int(2), Value::Int(5)]).unwrap();
+        assert_eq!(vm.trace(), &trace[..]);
+        // ...and one that never enters the loop consults nothing there.
+        vm.run(&compiled, &[Value::Int(2), Value::Int(0)]).unwrap();
+        assert!(vm.trace().len() < trace.len(), "{:?}", vm.trace());
     }
 
     #[test]

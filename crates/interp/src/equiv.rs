@@ -11,7 +11,7 @@ use std::cell::RefCell;
 
 use afg_ast::types::MpyType;
 use afg_ast::Program;
-use afg_eml::{ChoiceAssignment, ChoiceProgram};
+use afg_eml::{ChoiceAssignment, ChoiceId, ChoiceProgram};
 
 use crate::bytecode::{CompiledProgram, TraceStep, Vm};
 use crate::error::RuntimeError;
@@ -250,14 +250,15 @@ impl EquivalenceOracle {
     /// array — no per-candidate program is ever materialised.  This is the
     /// oracle API the synthesis back ends use in their hot loop.
     pub fn choice_session<'a>(&'a self, program: &'a ChoiceProgram) -> ChoiceSession<'a> {
-        let compiled = match self.config.sweep {
-            SweepMode::Compiled => CompiledProgram::from_choice(program),
-            SweepMode::Tree => None,
-        };
         ChoiceSession {
             oracle: self,
             program,
-            compiled,
+            // Lowered in both modes: under `SweepMode::Tree` the VM decides
+            // no verdict, it only replays refuting inputs to read their
+            // cores, so cores (and the search they steer) match across
+            // modes.
+            compiled: CompiledProgram::from_choice(program),
+            vm_verdicts: self.config.sweep == SweepMode::Compiled,
             scratch: RefCell::new(SweepScratch::new(self.config.limits)),
         }
     }
@@ -283,8 +284,37 @@ pub struct SweepStats {
     /// the mode is [`SweepMode::Tree`] or the program failed to compile).
     pub compiled: bool,
     /// Nodes currently held by the session's verdict-cache trie (0 on the
-    /// tree path or with `sweep_cache` off).
-    pub cache_nodes: u64,
+    /// tree path or with `sweep_cache` off; at most `CACHE_NODE_CAP`).
+    pub cache_nodes: u32,
+}
+
+/// One choice-site consultation of a run, keyed by choice id: a
+/// [`TraceStep`] translated out of the compiled program's dense site
+/// numbering.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Consultation {
+    /// The consulted choice site.
+    pub id: ChoiceId,
+    /// Option count at the consulting instruction; the run took
+    /// `min(selection, bound - 1)`.
+    pub bound: u32,
+    /// The clamped option the run took.
+    pub option: u32,
+}
+
+/// Why a candidate was rejected: the input it fails and, when the program
+/// runs on the VM, the choice sites that failing run consulted.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Refutation {
+    /// The first input on which the candidate disagrees with the reference.
+    pub input: usize,
+    /// The refuting run's consultations, each `(site, bound)` once, in
+    /// execution order — its *core*.
+    /// A run is a deterministic function of its input and these
+    /// consultations, so every assignment that takes the same clamped
+    /// option at each of them fails `input` too.  `None` when the VM cannot
+    /// lower the program: only the exact assignment is known to fail.
+    pub core: Option<Vec<Consultation>>,
 }
 
 /// Sound memoization of check verdicts across candidates, keyed on the
@@ -306,21 +336,23 @@ pub struct SweepStats {
 struct VerdictCache {
     /// Per-input root node, `u32::MAX` ⇔ nothing cached yet.
     roots: Vec<u32>,
+    /// One flat arena: a path costs one fixed-size entry per step and no
+    /// allocation of its own, so the trie stays small and contiguous.
     nodes: Vec<CacheNode>,
 }
 
-#[derive(Debug, Clone)]
-enum CacheNode {
-    /// Check verdict for the consultation path leading here.
-    Leaf(bool),
-    /// The run consults `site` next (with `bound` options at the
-    /// consulting instruction); children are (clamped option, node),
-    /// linear-scanned — option counts are tiny.
-    Branch {
-        site: u32,
-        bound: u32,
-        children: Vec<(u32, u32)>,
-    },
+/// A trie node.  A branch says the run consults `site` next (with `bound`
+/// options at the consulting instruction); its children, one per clamped
+/// option seen there, form a sibling list — option counts are tiny.  A
+/// leaf (`site == LEAF`) holds the check verdict in `bound`.
+#[derive(Debug, Clone, Copy)]
+struct CacheNode {
+    site: u32,
+    bound: u32,
+    /// The clamped option on the edge from the parent.
+    option: u32,
+    first_child: u32,
+    next_sibling: u32,
 }
 
 /// Arena-growth backstop: stop inserting (lookups keep working) once the
@@ -330,28 +362,57 @@ const CACHE_NODE_CAP: usize = 1 << 20;
 
 const NO_NODE: u32 = u32::MAX;
 
+/// `CacheNode::site` of a verdict leaf.
+const LEAF: u32 = u32::MAX;
+
 impl VerdictCache {
     /// Answers the check for `input` under `selection` if some previously
     /// executed candidate agreed with it on every consulted site.
     fn lookup(&self, input: usize, selection: &[usize]) -> Option<bool> {
+        self.lookup_path(input, selection, |_| {})
+    }
+
+    /// As [`VerdictCache::lookup`], handing every branch the walk passes
+    /// through to `visit`.  On a hit that path is exactly the trace the
+    /// cached run recorded — and, by determinism, the trace `selection`
+    /// itself would record.
+    fn lookup_path(
+        &self,
+        input: usize,
+        selection: &[usize],
+        mut visit: impl FnMut(TraceStep),
+    ) -> Option<bool> {
         let mut node = *self.roots.get(input)?;
         loop {
-            match self.nodes.get(node as usize)? {
-                CacheNode::Leaf(verdict) => return Some(*verdict),
-                CacheNode::Branch {
-                    site,
-                    bound,
-                    children,
-                } => {
-                    let option = selection
-                        .get(*site as usize)
-                        .copied()
-                        .unwrap_or(0)
-                        .min(*bound as usize - 1) as u32;
-                    node = children.iter().find(|(o, _)| *o == option)?.1;
-                }
+            let branch = self.nodes.get(node as usize)?;
+            if branch.site == LEAF {
+                return Some(branch.bound != 0);
             }
+            let option = selection
+                .get(branch.site as usize)
+                .copied()
+                .unwrap_or(0)
+                .min(branch.bound as usize - 1) as u32;
+            node = self.child(node, option)?;
+            visit(TraceStep {
+                site: branch.site,
+                bound: branch.bound,
+                option,
+            });
         }
+    }
+
+    /// The child of branch `parent` reached by `option`.
+    fn child(&self, parent: u32, option: u32) -> Option<u32> {
+        let mut child = self.nodes[parent as usize].first_child;
+        while child != NO_NODE {
+            let node = &self.nodes[child as usize];
+            if node.option == option {
+                return Some(child);
+            }
+            child = node.next_sibling;
+        }
+        None
     }
 
     /// Records a run's consultation trace and its check verdict.
@@ -362,92 +423,63 @@ impl VerdictCache {
         if input >= self.roots.len() {
             self.roots.resize(input + 1, NO_NODE);
         }
-        // Walk the already-cached prefix.  `link` is where the next node
-        // pointer lives: the input's root slot, or a missing child edge.
-        let mut link = Link::Root(input);
+        // Walk the already-cached prefix.  `(parent, option)` is the edge
+        // the next node hangs off (`parent == NO_NODE`: the input's root).
+        let mut parent = NO_NODE;
+        let mut option = 0;
         let mut depth = 0usize;
-        while let Some(node) = self.get(link) {
-            match &self.nodes[node as usize] {
-                // Full path already cached (determinism guarantees the
-                // stored verdict equals ours).
-                CacheNode::Leaf(_) => return,
-                CacheNode::Branch {
-                    site,
-                    bound,
-                    children,
-                } => {
-                    // A trace shorter than the stored path, or consulting
-                    // a different site, would mean the VM is not
-                    // deterministic; bail out rather than corrupt the trie.
-                    let Some(step) = trace.get(depth) else { return };
-                    if *site != step.site || *bound != step.bound {
-                        debug_assert!(false, "non-deterministic consultation order");
-                        return;
-                    }
-                    match children.iter().find(|(o, _)| *o == step.option) {
-                        Some(&(_, child)) => {
-                            link = Link::Child(node as usize, step.option);
-                            debug_assert!(self.get(link) == Some(child));
-                        }
-                        None => link = Link::Child(node as usize, step.option),
-                    }
-                    depth += 1;
-                }
+        let mut node = self.roots[input];
+        while node != NO_NODE {
+            let branch = self.nodes[node as usize];
+            // Full path already cached (determinism guarantees the stored
+            // verdict equals ours).
+            if branch.site == LEAF {
+                return;
             }
+            // A trace shorter than the stored path, or consulting a
+            // different site, would mean the VM is not deterministic; bail
+            // out rather than corrupt the trie.
+            let Some(step) = trace.get(depth) else { return };
+            if branch.site != step.site || branch.bound != step.bound {
+                debug_assert!(false, "non-deterministic consultation order");
+                return;
+            }
+            parent = node;
+            option = step.option;
+            depth += 1;
+            node = self.child(parent, option).unwrap_or(NO_NODE);
         }
         // Append the uncached suffix, one single-child branch per step.
         for step in &trace[depth..] {
             if self.nodes.len() >= CACHE_NODE_CAP {
                 return;
             }
-            let fresh = self.nodes.len() as u32;
-            self.nodes.push(CacheNode::Branch {
-                site: step.site,
-                bound: step.bound,
-                children: Vec::new(),
-            });
-            self.set(link, fresh);
-            link = Link::Child(fresh as usize, step.option);
+            parent = self.push(input, parent, option, step.site, step.bound);
+            option = step.option;
         }
         if self.nodes.len() >= CACHE_NODE_CAP {
             return;
         }
-        let leaf = self.nodes.len() as u32;
-        self.nodes.push(CacheNode::Leaf(verdict));
-        self.set(link, leaf);
+        self.push(input, parent, option, LEAF, u32::from(verdict));
     }
 
-    fn get(&self, link: Link) -> Option<u32> {
-        let node = match link {
-            Link::Root(input) => self.roots[input],
-            Link::Child(node, option) => match &self.nodes[node] {
-                CacheNode::Branch { children, .. } => children
-                    .iter()
-                    .find(|(o, _)| *o == option)
-                    .map_or(NO_NODE, |(_, n)| *n),
-                CacheNode::Leaf(_) => NO_NODE,
-            },
+    /// Appends a node under the edge `(parent, option)` of `input`'s trie.
+    fn push(&mut self, input: usize, parent: u32, option: u32, site: u32, bound: u32) -> u32 {
+        let fresh = self.nodes.len() as u32;
+        let slot = match parent {
+            NO_NODE => &mut self.roots[input],
+            parent => &mut self.nodes[parent as usize].first_child,
         };
-        (node != NO_NODE).then_some(node)
+        let next_sibling = std::mem::replace(slot, fresh);
+        self.nodes.push(CacheNode {
+            site,
+            bound,
+            option,
+            first_child: NO_NODE,
+            next_sibling,
+        });
+        fresh
     }
-
-    fn set(&mut self, link: Link, node: u32) {
-        match link {
-            Link::Root(input) => self.roots[input] = node,
-            Link::Child(parent, option) => {
-                if let CacheNode::Branch { children, .. } = &mut self.nodes[parent] {
-                    children.push((option, node));
-                }
-            }
-        }
-    }
-}
-
-/// A position in the [`VerdictCache`] trie where a node pointer lives.
-#[derive(Debug, Clone, Copy)]
-enum Link {
-    Root(usize),
-    Child(usize, u32),
 }
 
 /// Reusable per-session scratch: the bytecode VM (operand stack, slot
@@ -466,6 +498,9 @@ struct SweepScratch {
     marks: Vec<u32>,
     generation: u32,
     cache: VerdictCache,
+    /// Whether the last compiled check was answered from `cache` (so the
+    /// VM's trace belongs to an earlier run).
+    from_cache: bool,
     sweeps: u64,
     inputs_run: u64,
     cache_hits: u64,
@@ -482,6 +517,7 @@ impl SweepScratch {
             marks: Vec::new(),
             generation: 0,
             cache: VerdictCache::default(),
+            from_cache: false,
             sweeps: 0,
             inputs_run: 0,
             cache_hits: 0,
@@ -517,8 +553,8 @@ impl SweepScratch {
 /// A verification session over one candidate space (one transformed
 /// submission), bound to the oracle's cached reference results.
 ///
-/// Under [`SweepMode::Compiled`] the choice program is lowered to bytecode
-/// once at session open; every candidate evaluation afterwards loads the
+/// The choice program is lowered to bytecode once at session open.  Under
+/// [`SweepMode::Compiled`] every candidate evaluation afterwards loads the
 /// assignment into the VM's selection array and sweeps the input deck
 /// through one reusable scratch arena.  The reference path concretises
 /// each candidate once and runs it on the tree interpreter; it serves both
@@ -528,6 +564,9 @@ pub struct ChoiceSession<'a> {
     oracle: &'a EquivalenceOracle,
     program: &'a ChoiceProgram,
     compiled: Option<CompiledProgram>,
+    /// Whether `compiled` decides verdicts (`SweepMode::Compiled`) or only
+    /// replays refuting inputs for their cores (`SweepMode::Tree`).
+    vm_verdicts: bool,
     scratch: RefCell<SweepScratch>,
 }
 
@@ -540,7 +579,12 @@ impl<'a> ChoiceSession<'a> {
     /// Whether candidates run on the bytecode VM (as opposed to the
     /// reference tree interpreter).
     pub fn is_compiled(&self) -> bool {
-        self.compiled.is_some()
+        self.verdict_vm().is_some()
+    }
+
+    /// The compiled program when it decides verdicts.
+    fn verdict_vm(&self) -> Option<&CompiledProgram> {
+        self.compiled.as_ref().filter(|_| self.vm_verdicts)
     }
 
     /// The verification-work counters accumulated so far.
@@ -550,15 +594,16 @@ impl<'a> ChoiceSession<'a> {
             sweeps: scratch.sweeps,
             inputs_run: scratch.inputs_run,
             cache_hits: scratch.cache_hits,
-            compiled: self.compiled.is_some(),
-            cache_nodes: scratch.cache.nodes.len() as u64,
+            compiled: self.is_compiled(),
+            // Insertion stops at `CACHE_NODE_CAP` (2^20), so this is exact.
+            cache_nodes: scratch.cache.nodes.len() as u32,
         }
     }
 
     /// Loads `assignment` into the VM selection array, or concretises it
     /// once on the reference path.
     fn prepare(&self, scratch: &mut SweepScratch, assignment: &ChoiceAssignment) {
-        match &self.compiled {
+        match self.verdict_vm() {
             Some(compiled) => scratch.vm.select(compiled, assignment),
             None => scratch.concrete = self.program.concretize(assignment),
         }
@@ -569,7 +614,7 @@ impl<'a> ChoiceSession<'a> {
     fn run_prepared(&self, scratch: &mut SweepScratch, index: usize) -> ExecResult {
         scratch.inputs_run += 1;
         let args = &self.oracle.inputs[index];
-        let result = match &self.compiled {
+        let result = match self.verdict_vm() {
             Some(compiled) => scratch.vm.run(compiled, args),
             // `None` selects `funcs[0]`, the concretised entry function.
             None => run_function(&scratch.concrete, None, args, self.oracle.config.limits),
@@ -585,27 +630,18 @@ impl<'a> ChoiceSession<'a> {
         // VM scratch (no output-vector move, no `ExecResult` built), which
         // matters in the CEGIS mix where most sweeps die after a handful
         // of runs.  Matching semantics are identical to `matches`.
-        if let Some(compiled) = &self.compiled {
+        if let Some(compiled) = self.verdict_vm() {
             scratch.inputs_run += 1;
             let cached = self.oracle.config.sweep_cache;
             if cached {
                 if let Some(verdict) = scratch.cache.lookup(index, scratch.vm.selection()) {
                     scratch.cache_hits += 1;
+                    scratch.from_cache = true;
                     return verdict;
                 }
             }
-            let run = scratch
-                .vm
-                .run_for_check(compiled, &self.oracle.inputs[index]);
-            let verdict = match (&run, &self.oracle.reference_results[index]) {
-                // Reference errors put the input outside the reference's
-                // domain; it never counts against the student.
-                (_, ExecResult::Err(_)) => true,
-                (Ok(()), ExecResult::Ok(reference)) => scratch
-                    .vm
-                    .outcome_matches(reference, self.oracle.config.compare_output),
-                (Err(_), ExecResult::Ok(_)) => false,
-            };
+            scratch.from_cache = false;
+            let verdict = self.vm_check(scratch, compiled, index);
             if cached {
                 scratch.cache.insert(index, scratch.vm.trace(), verdict);
             }
@@ -614,6 +650,70 @@ impl<'a> ChoiceSession<'a> {
         self.run_prepared(scratch, index).matches(
             &self.oracle.reference_results[index],
             self.oracle.config.compare_output,
+        )
+    }
+
+    /// Runs the selection loaded in the VM on one input and checks it.
+    fn vm_check(
+        &self,
+        scratch: &mut SweepScratch,
+        compiled: &CompiledProgram,
+        index: usize,
+    ) -> bool {
+        let run = scratch
+            .vm
+            .run_for_check(compiled, &self.oracle.inputs[index]);
+        match (&run, &self.oracle.reference_results[index]) {
+            // Reference errors put the input outside the reference's
+            // domain; it never counts against the student.
+            (_, ExecResult::Err(_)) => true,
+            (Ok(()), ExecResult::Ok(reference)) => scratch
+                .vm
+                .outcome_matches(reference, self.oracle.config.compare_output),
+            (Err(_), ExecResult::Ok(_)) => false,
+        }
+    }
+
+    /// The consultation core of the check that just refuted `assignment`
+    /// on `input`, read from the state that check left behind: the VM
+    /// trace of a fresh run, or the trie path of a verdict-cache hit.
+    fn refuting_core(
+        &self,
+        assignment: &ChoiceAssignment,
+        input: usize,
+    ) -> Option<Vec<Consultation>> {
+        let compiled = self.compiled.as_ref()?;
+        let scratch = &mut *self.scratch.borrow_mut();
+        let consult = |step: TraceStep| Consultation {
+            id: compiled.site_id(step.site),
+            bound: step.bound,
+            option: step.option,
+        };
+        if !self.vm_verdicts {
+            // The tree interpreter decided; replay the input once on the VM
+            // to read its trace.  Not counted in `inputs_run`, so both sweep
+            // modes report the same work.  Should the VM disagree, no core
+            // is claimed.
+            scratch.vm.select(compiled, assignment);
+            if self.vm_check(scratch, compiled, input) {
+                return None;
+            }
+        } else if scratch.from_cache {
+            let mut core = Vec::new();
+            let verdict = scratch
+                .cache
+                .lookup_path(input, scratch.vm.selection(), |step| {
+                    core.push(consult(step))
+                });
+            return (verdict == Some(false)).then_some(core);
+        }
+        Some(
+            scratch
+                .vm
+                .trace()
+                .iter()
+                .map(|&step| consult(step))
+                .collect(),
         )
     }
 
@@ -661,6 +761,20 @@ impl<'a> ChoiceSession<'a> {
         let result = self.find_counterexample_untimed(assignment, priority);
         self.scratch.borrow_mut().sweep_ns += sweep_start.elapsed().as_nanos() as u64;
         result
+    }
+
+    /// As [`ChoiceSession::find_counterexample`], also reporting the
+    /// refuting run's consultation core (see [`Refutation::core`]).
+    pub fn refute(&self, assignment: &ChoiceAssignment, priority: &[usize]) -> Option<Refutation> {
+        let sweep_start = std::time::Instant::now();
+        let refutation = self
+            .find_counterexample_untimed(assignment, priority)
+            .map(|input| Refutation {
+                input,
+                core: self.refuting_core(assignment, input),
+            });
+        self.scratch.borrow_mut().sweep_ns += sweep_start.elapsed().as_nanos() as u64;
+        refutation
     }
 
     fn find_counterexample_untimed(

@@ -38,8 +38,8 @@ pub mod value;
 
 pub use bytecode::{CompiledProgram, Vm};
 pub use equiv::{
-    classify, ChoiceSession, EquivalenceConfig, EquivalenceOracle, ExecResult, SweepMode,
-    SweepStats, Verdict,
+    classify, ChoiceSession, Consultation, EquivalenceConfig, EquivalenceOracle, ExecResult,
+    Refutation, SweepMode, SweepStats, Verdict,
 };
 pub use error::RuntimeError;
 pub use inputs::InputSpace;

@@ -14,9 +14,8 @@
 //!   encoding, it exposes one output literal per possible count; the bound
 //!   `≤ k` is then activated per solve call by *assuming* the negation of
 //!   the `k+1`-th output ([`Totalizer::at_most`]) instead of adding hard
-//!   clauses.  This is what lets the CEGISMIN minimisation descent tighten
-//!   its bound on a single solver instance while keeping every learnt
-//!   clause.
+//!   clauses.  This is what lets the CEGISMIN cost ascent move its bound
+//!   on a single solver instance while keeping every learnt clause.
 
 use crate::literal::Lit;
 use crate::solver::Solver;

@@ -158,22 +158,28 @@ impl VarOrder {
 /// repeated solving (as done by the CEGIS loop, which adds blocking clauses)
 /// is cheap.  [`Solver::solve_under_assumptions`] additionally decides
 /// satisfiability under a conjunction of assumption literals without adding
-/// them to the clause database — the CEGISMIN minimisation descent activates
-/// successively tighter cost bounds this way, one encoding per grade.
+/// them to the clause database — the CEGISMIN cost ascent activates
+/// successively looser cost bounds this way, one encoding per grade.
 #[derive(Debug, Default)]
 pub struct Solver {
-    /// Clause database; index 0.. are both original and learnt clauses.
-    clauses: Vec<Vec<Lit>>,
+    /// Clause database, original and learnt clauses alike, in one flat
+    /// arena: each clause is its length followed by its literals, and is
+    /// referred to by the offset of its length word.  Propagation walks
+    /// many clauses per solve; contiguous storage keeps that walk compact.
+    arena: Vec<u32>,
+    /// Number of clauses in `arena`.
+    num_clauses: usize,
     /// For each literal index, the clauses currently watching it.
-    watches: Vec<Vec<usize>>,
+    watches: Vec<Vec<u32>>,
     /// Current assignment per variable: 0 = false, 1 = true, 2 = unassigned.
     assign: Vec<u8>,
     /// Saved phase per variable (last assigned polarity).
     phase: Vec<bool>,
     /// Decision level at which each variable was assigned.
     level: Vec<u32>,
-    /// Reason clause index for each assigned variable (None for decisions).
-    reason: Vec<Option<usize>>,
+    /// Reason clause (its arena offset) for each assigned variable (None
+    /// for decisions).
+    reason: Vec<Option<u32>>,
     /// Assignment trail.
     trail: Vec<Lit>,
     /// Trail indices where each decision level starts.
@@ -190,6 +196,8 @@ pub struct Solver {
     ok: bool,
     /// Assumption subset responsible for the last assumption-driven `Unsat`.
     last_core: Vec<Lit>,
+    /// Conflict-analysis marks per variable; all false between analyses.
+    seen: Vec<bool>,
     /// Number of conflicts seen (drives restarts).
     conflicts: u64,
     /// Statistics: number of decisions.
@@ -219,7 +227,7 @@ impl Solver {
 
     /// Number of clauses (original plus learnt).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.num_clauses
     }
 
     /// Work counters since creation.
@@ -241,6 +249,7 @@ impl Solver {
         self.level.push(0);
         self.reason.push(None);
         self.activity.push(0.0);
+        self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.order.push_new_var(&self.activity);
@@ -313,10 +322,7 @@ impl Solver {
                 true
             }
             _ => {
-                let index = self.clauses.len();
-                self.watches[clause[0].negated().index()].push(index);
-                self.watches[clause[1].negated().index()].push(index);
-                self.clauses.push(clause);
+                self.push_clause(&clause);
                 true
             }
         }
@@ -342,7 +348,24 @@ impl Solver {
         true
     }
 
-    fn enqueue(&mut self, lit: Lit, reason: Option<usize>) {
+    /// Stores a clause of at least two literals, watching its first two.
+    fn push_clause(&mut self, lits: &[Lit]) -> u32 {
+        let clause = u32::try_from(self.arena.len()).expect("clause arena exceeds u32 offsets");
+        self.arena.push(lits.len() as u32);
+        self.arena.extend(lits.iter().map(|lit| lit.0));
+        self.num_clauses += 1;
+        self.watches[lits[0].negated().index()].push(clause);
+        self.watches[lits[1].negated().index()].push(clause);
+        clause
+    }
+
+    /// The literals of the clause at `clause`.
+    fn clause(&self, clause: u32) -> &[u32] {
+        let start = clause as usize + 1;
+        &self.arena[start..start + self.arena[clause as usize] as usize]
+    }
+
+    fn enqueue(&mut self, lit: Lit, reason: Option<u32>) {
         let var = lit.var().index();
         debug_assert_eq!(self.assign[var], UNASSIGNED);
         self.assign[var] = u8::from(lit.is_positive());
@@ -352,8 +375,8 @@ impl Solver {
         self.trail.push(lit);
     }
 
-    /// Unit propagation.  Returns the index of a conflicting clause, if any.
-    fn propagate(&mut self) -> Option<usize> {
+    /// Unit propagation.  Returns the conflicting clause, if any.
+    fn propagate(&mut self) -> Option<u32> {
         while self.propagate_head < self.trail.len() {
             let lit = self.trail[self.propagate_head];
             self.propagate_head += 1;
@@ -378,33 +401,43 @@ impl Solver {
                     }
                 }
             }
-            self.watches[lit.index()].extend(watch_list);
+            // Nothing re-watches `lit` while its list is out (a new watch
+            // is never a false literal), so the slot is still empty: hand
+            // the buffer back instead of copying it into a fresh one.
+            let slot = &mut self.watches[lit.index()];
+            if slot.is_empty() {
+                *slot = watch_list;
+            } else {
+                slot.extend(watch_list);
+            }
         }
         None
     }
 
-    fn examine_clause(&mut self, clause_index: usize, false_lit: Lit) -> WatchOutcome {
+    fn examine_clause(&mut self, clause_index: u32, false_lit: Lit) -> WatchOutcome {
         // The literal that just became false is ¬false_lit... i.e. the
         // watched literal equal to false_lit.negated().
         let watched = false_lit.negated();
+        let base = clause_index as usize + 1;
+        let len = self.arena[clause_index as usize] as usize;
         // Ensure the falsified literal is at position 1.
-        if self.clauses[clause_index][0] == watched {
-            self.clauses[clause_index].swap(0, 1);
+        if self.arena[base] == watched.0 {
+            self.arena.swap(base, base + 1);
         }
-        debug_assert_eq!(self.clauses[clause_index][1], watched);
+        debug_assert_eq!(self.arena[base + 1], watched.0);
 
         // If the other watched literal is already true the clause is
         // satisfied; keep watching.
-        let first = self.clauses[clause_index][0];
+        let first = Lit(self.arena[base]);
         if self.lit_value(first) == 1 {
             return WatchOutcome::KeepWatching;
         }
 
         // Look for a new literal to watch.
-        for k in 2..self.clauses[clause_index].len() {
-            let candidate = self.clauses[clause_index][k];
+        for k in 2..len {
+            let candidate = Lit(self.arena[base + k]);
             if self.lit_value(candidate) != 0 {
-                self.clauses[clause_index].swap(1, k);
+                self.arena.swap(base + 1, base + k);
                 self.watches[candidate.negated().index()].push(clause_index);
                 return WatchOutcome::Rewatched;
             }
@@ -434,20 +467,20 @@ impl Solver {
 
     /// First-UIP conflict analysis.  Returns the learnt clause and the level
     /// to backtrack to.
-    fn analyze(&mut self, conflict: usize) -> (Vec<Lit>, u32) {
+    fn analyze(&mut self, conflict: u32) -> (Vec<Lit>, u32) {
         let current_level = self.trail_lim.len() as u32;
         let mut learnt: Vec<Lit> = Vec::new();
-        let mut seen = vec![false; self.num_vars()];
+        let mut seen = std::mem::take(&mut self.seen);
         let mut counter = 0usize;
         let mut lit: Option<Lit> = None;
         let mut reason_clause = conflict;
         let mut trail_index = self.trail.len();
 
         loop {
-            let clause = self.clauses[reason_clause].clone();
             // Skip the asserting literal itself when walking a reason clause.
             let skip = lit;
-            for &q in &clause {
+            for k in 0..self.clause(reason_clause).len() {
+                let q = Lit(self.clause(reason_clause)[k]);
                 if Some(q) == skip {
                     continue;
                 }
@@ -483,6 +516,13 @@ impl Solver {
             reason_clause = self.reason[asserting.var().index()]
                 .expect("non-decision literal must have a reason");
         }
+
+        // Every current-level mark was cleared as the walk consumed it; the
+        // rest are exactly the learnt literals.
+        for l in &learnt {
+            seen[l.var().index()] = false;
+        }
+        self.seen = seen;
 
         // Backtrack level = highest level among the other learnt literals.
         // That literal is moved to position 1 so that both watched literals
@@ -525,8 +565,8 @@ impl Solver {
                 // A pseudo-decision above level 0 is an assumption.
                 None => self.last_core.push(lit),
                 Some(clause_index) => {
-                    for k in 0..self.clauses[clause_index].len() {
-                        let q = self.clauses[clause_index][k];
+                    for k in 0..self.clause(clause_index).len() {
+                        let q = Lit(self.clause(clause_index)[k]);
                         if q.var() != lit.var() && self.level[q.var().index()] > 0 {
                             seen[q.var().index()] = true;
                         }
@@ -623,13 +663,9 @@ impl Solver {
                         self.enqueue(learnt[0], None);
                     }
                 } else {
-                    let index = self.clauses.len();
-                    self.watches[learnt[0].negated().index()].push(index);
-                    self.watches[learnt[1].negated().index()].push(index);
-                    let asserting = learnt[0];
-                    self.clauses.push(learnt);
+                    let index = self.push_clause(&learnt);
                     self.learnts += 1;
-                    self.enqueue(asserting, Some(index));
+                    self.enqueue(learnt[0], Some(index));
                 }
             } else {
                 if conflicts_since_restart >= restart_limit {

@@ -79,8 +79,10 @@ impl OutcomeCounters {
                 .fetch_add(feedback.stats.sweep_inputs, Ordering::Relaxed);
             self.sweep_cache_hits
                 .fetch_add(feedback.stats.sweep_cache_hits, Ordering::Relaxed);
-            self.sweep_cache_nodes
-                .fetch_max(feedback.stats.sweep_cache_nodes, Ordering::Relaxed);
+            self.sweep_cache_nodes.fetch_max(
+                u64::from(feedback.stats.sweep_cache_nodes),
+                Ordering::Relaxed,
+            );
         }
     }
 

@@ -1,23 +1,28 @@
 //! CEGIS and CEGISMIN: counterexample-guided search for minimal corrections.
 //!
 //! The paper extends SKETCH's CEGIS loop with the CEGISMIN algorithm
-//! (Algorithm 1): whenever the verifier accepts a candidate, the constraint
-//! `totalCost < best` is added and the synthesis/verification loop continues
-//! until the constraints become unsatisfiable, at which point the best
-//! solution seen so far is returned.
+//! (Algorithm 1): the search looks for a candidate under a bound on
+//! `totalCost` until the constraints become unsatisfiable.  Here the bound
+//! *ascends*: `totalCost ≤ 1`, then 2, up to `max_cost`, raised after each
+//! Unsat.  The first candidate that verifies is therefore minimal by
+//! construction, and Unsat at `max_cost` proves the submission
+//! unrepairable.
 //!
-//! The whole minimisation descent is **incremental**: one [`Solver`] and one
+//! The whole ascent is **incremental**: one [`Solver`] and one
 //! [`ChoiceEncoding`] serve every iteration.  The cost bound is never baked
 //! into the clause database — the encoding's totalizer exposes per-bound
 //! output literals and each `totalCost ≤ k` is activated by *assumption*
-//! ([`Solver::solve_under_assumptions`]), so tightening the bound after a
-//! verified candidate costs nothing and every learnt clause, blocking
-//! clause and counterexample survives to the next round.
+//! ([`Solver::solve_under_assumptions`]), so raising the bound costs
+//! nothing and every learnt clause, blocking clause and counterexample
+//! survives to the next round.
 //!
 //! Our verifier is the bounded-exhaustive [`EquivalenceOracle`] rather than
-//! SKETCH's symbolic one, so candidate consistency with the accumulated
-//! counterexamples is established by (cheap) interpretation and failed
-//! candidates are excluded with blocking clauses.
+//! SKETCH's symbolic one, so a counterexample cannot constrain candidates
+//! symbolically.  Its concrete analogue is the **consultation core**: a
+//! refuting run is a deterministic function of its input and the choice
+//! sites it consulted, so every candidate that takes the same options at
+//! those sites fails the same input.  One blocking clause over just those
+//! sites ([`ChoiceEncoding::block_core`]) rules all of them out at once.
 //!
 //! The verification hot loop is **zero-materialisation**: candidates are
 //! evaluated through the oracle's [`afg_interp::ChoiceSession`], which runs
@@ -31,7 +36,7 @@
 use std::time::Instant;
 
 use afg_eml::ChoiceProgram;
-use afg_interp::EquivalenceOracle;
+use afg_interp::{EquivalenceOracle, Refutation};
 use afg_sat::{SatResult, Solver};
 
 use crate::bitset::IndexBitset;
@@ -69,12 +74,12 @@ impl SearchStrategy for CegisSolver {
 
     /// As [`CegisSolver::synthesize`], but seeded with a transferred
     /// hypothesis: the verified minimal repair of a *skeleton cluster-mate*
-    /// plus its counterexample set.  The hypothesis is verified with one
-    /// bounded sweep before it is trusted; on success the CEGISMIN descent
-    /// opens at `hypothesis cost - 1` instead of `max_cost` and the
-    /// counterexample bitset is pre-seeded, on failure the hypothesis is
-    /// just one more blocked candidate — either way the descent still runs
-    /// to Unsat, so the outcome is cost-identical to the cold search.
+    /// plus its counterexample set, which pre-seeds the fast-rejection
+    /// order.  The hypothesis is verified with one bounded sweep before it
+    /// is trusted; on success the cost ascent stops at `hypothesis cost - 1`
+    /// instead of `max_cost`, and Unsat there proves the hypothesis
+    /// minimal.  On failure it is one more refuted candidate.  Either way
+    /// the outcome is cost-identical to the cold search.
     fn synthesize_with_hint(
         &self,
         program: &ChoiceProgram,
@@ -95,45 +100,41 @@ impl SearchStrategy for CegisSolver {
         let default_assignment = afg_eml::ChoiceAssignment::default_choices();
         stats.candidates_checked += 1;
         let verify_start = Instant::now();
-        let first_cex = session.find_counterexample(&default_assignment, &[]);
+        let first = session.refute(&default_assignment, &[]);
         stats.verify_elapsed += verify_start.elapsed();
-        let first_cex = match first_cex {
-            None => return SynthesisOutcome::AlreadyCorrect,
-            Some(cex) => cex,
+        let Some(first) = first else {
+            return SynthesisOutcome::AlreadyCorrect;
         };
 
-        // One solver, one encoding — the entire CEGISMIN descent below is
+        // One solver, one encoding — the entire CEGISMIN ascent below is
         // incremental on this pair.
         let mut solver = Solver::new();
         let encoding = ChoiceEncoding::new(&mut solver, program);
-
-        // The counterexample set σ of Algorithm 1, seeded with the input that
-        // already distinguishes the unmodified submission.  The `Vec` keeps
-        // the fast-rejection order; the bitset answers membership in O(1).
-        let mut counterexamples: Vec<usize> = vec![first_cex];
-        let mut seen_counterexamples = IndexBitset::default();
-        seen_counterexamples.insert(first_cex);
-        stats.counterexamples = 1;
+        let mut refuted = Refuted::default();
         // The original program (all-default assignment) is known bad.
-        encoding.block_assignment(&mut solver, &default_assignment);
+        refuted.record(
+            &mut solver,
+            &encoding,
+            &mut stats,
+            &default_assignment,
+            first,
+        );
 
+        // The highest bound worth trying: a verified warm hypothesis of
+        // cost c caps the ascent at c - 1.
+        let mut cap = config.max_cost;
         let mut best: Option<Solution> = None;
-        // CEGISMIN line 13 (`minHole < minHoleVal`): the current bound,
-        // activated per solve call through totalizer assumptions and
-        // tightened to `cost - 1` after every verified candidate.
-        let mut bound = config.max_cost;
 
         // Transferred warm start: pre-seed the counterexample set (stale
         // indices are harmless — each is just a bounded-space input checked
         // early), then spend one bounded sweep on the hypothesis.  Verified
-        // ⇒ the descent opens at its cost; refuted ⇒ it becomes an ordinary
-        // blocked candidate and the refuting input a counterexample.
+        // ⇒ only cheaper bounds remain to be refuted; refuted ⇒ its core is
+        // blocked like any other candidate's.
         if let Some(warm) = warm {
             let input_count = session.oracle().inputs().len();
             for &cex in &warm.counterexamples {
-                if cex < input_count && seen_counterexamples.insert(cex) {
-                    counterexamples.push(cex);
-                    stats.counterexamples += 1;
+                if cex < input_count {
+                    refuted.note_input(&mut stats, cex);
                 }
             }
             let hypothesis = &warm.assignment;
@@ -142,9 +143,9 @@ impl SearchStrategy for CegisSolver {
                 stats.warm_start_attempted = true;
                 stats.candidates_checked += 1;
                 let verify_start = Instant::now();
-                let hypothesis_cex = session.find_counterexample(hypothesis, &counterexamples);
+                let verdict = session.refute(hypothesis, &refuted.inputs);
                 stats.verify_elapsed += verify_start.elapsed();
-                match hypothesis_cex {
+                match verdict {
                     None => {
                         stats.warm_start_verified = true;
                         best = Some(Solution {
@@ -154,26 +155,25 @@ impl SearchStrategy for CegisSolver {
                             counterexamples: Vec::new(),
                             stats: SynthesisStats::default(),
                         });
-                        bound = cost - 1;
-                        stats.descent_learnts.push(solver.stats().learnts);
+                        cap = cost - 1;
                     }
-                    Some(cex) => {
-                        if seen_counterexamples.insert(cex) {
-                            counterexamples.push(cex);
-                            stats.counterexamples += 1;
-                        }
+                    Some(refutation) => {
+                        refuted.record(&mut solver, &encoding, &mut stats, hypothesis, refutation)
                     }
                 }
-                // Equivalent or not, the hypothesis itself never needs to be
-                // proposed again.
-                encoding.block_assignment(&mut solver, hypothesis);
             }
         }
 
-        // Set when the SAT solver proves no cheaper candidate exists.
-        let mut proven_minimal = false;
+        // CEGISMIN as a cost ascent: `totalCost ≤ bound` is activated per
+        // solve call through totalizer assumptions and raised after each
+        // Unsat.  Bound 0 admits only the original program, refuted above.
+        // Blocking clauses only ever exclude failing candidates, so the
+        // first candidate that verifies is minimal by construction, and
+        // Unsat at `cap` proves nothing cheaper (or nothing at all) exists.
+        let mut bound = 1;
+        let mut proven = cap < bound;
 
-        loop {
+        while !proven {
             if start.elapsed() > config.time_budget {
                 stats.wall_clock_limited = true;
                 break;
@@ -183,19 +183,21 @@ impl SearchStrategy for CegisSolver {
             }
             stats.cegis_iterations += 1;
 
-            // Synthesis phase: ask the SAT solver for a candidate assignment
-            // consistent with all blocking clauses, under the current cost
-            // bound assumption.
+            // Synthesis phase: ask the SAT solver for a candidate consistent
+            // with all blocking clauses, under the current cost bound.
             let assumptions = encoding.cost_bound_assumptions(bound);
             let sat_start = Instant::now();
             let proposal = solver.solve_under_assumptions(&assumptions);
             stats.sat_elapsed += sat_start.elapsed();
             let assignment = match proposal {
-                SatResult::Unsat => {
-                    // No candidate under the bound: whatever we hold is the
-                    // proven minimum (or the model can't repair this at all).
-                    proven_minimal = true;
+                SatResult::Unsat if bound >= cap => {
+                    proven = true;
                     break;
+                }
+                SatResult::Unsat => {
+                    bound += 1;
+                    stats.descent_learnts.push(solver.stats().learnts);
+                    continue;
                 }
                 SatResult::Sat(model) => encoding.decode(&model),
             };
@@ -206,36 +208,21 @@ impl SearchStrategy for CegisSolver {
             // the candidate, accumulated counterexamples first — the
             // fast-rejection path and the full sweep in one ordered pass.
             let verify_start = Instant::now();
-            let verdict = session.find_counterexample(&assignment, &counterexamples);
+            let verdict = session.refute(&assignment, &refuted.inputs);
             stats.verify_elapsed += verify_start.elapsed();
             match verdict {
-                Some(cex) => {
-                    if seen_counterexamples.insert(cex) {
-                        counterexamples.push(cex);
-                        stats.counterexamples += 1;
-                    }
-                    encoding.block_assignment(&mut solver, &assignment);
+                Some(refutation) => {
+                    refuted.record(&mut solver, &encoding, &mut stats, &assignment, refutation)
                 }
                 None => {
-                    // Verification succeeded: record the solution and tighten
-                    // the cost bound (CEGISMIN line 13: minHole < minHoleVal).
-                    let cost = assignment.cost();
-                    if best.as_ref().is_none_or(|b| cost < b.cost) {
-                        best = Some(Solution {
-                            assignment: assignment.clone(),
-                            cost,
-                            minimal: false,
-                            counterexamples: Vec::new(),
-                            stats: SynthesisStats::default(),
-                        });
-                    }
-                    if cost == 0 {
-                        proven_minimal = true;
-                        break;
-                    }
-                    bound = cost - 1;
-                    stats.descent_learnts.push(solver.stats().learnts);
-                    encoding.block_assignment(&mut solver, &assignment);
+                    best = Some(Solution {
+                        cost: assignment.cost(),
+                        assignment,
+                        minimal: false,
+                        counterexamples: Vec::new(),
+                        stats: SynthesisStats::default(),
+                    });
+                    proven = true;
                 }
             }
         }
@@ -257,15 +244,62 @@ impl SearchStrategy for CegisSolver {
         // already measured above; steers nothing.
         afg_obs::record_span("verify", stats.verify_elapsed);
         afg_obs::record_span("sat", stats.sat_elapsed);
+        // A cut search holds no answer, except a verified warm hypothesis
+        // that was not yet proven minimal.
         match best {
             Some(mut solution) => {
-                solution.minimal = proven_minimal;
-                solution.counterexamples = counterexamples;
+                solution.minimal = proven;
+                solution.counterexamples = refuted.inputs;
                 solution.stats = stats;
                 SynthesisOutcome::Fixed(solution)
             }
-            None if proven_minimal => SynthesisOutcome::NoRepairFound(stats),
+            None if proven => SynthesisOutcome::NoRepairFound(stats),
             None => SynthesisOutcome::Timeout(stats),
+        }
+    }
+}
+
+/// The counterexample set σ of Algorithm 1 plus the blocking of refuted
+/// candidates.
+#[derive(Default)]
+struct Refuted {
+    /// Refuting inputs in discovery order — the fast-rejection order of
+    /// every later sweep.
+    inputs: Vec<usize>,
+    /// Membership of `inputs`, in O(1).
+    seen: IndexBitset,
+}
+
+impl Refuted {
+    fn note_input(&mut self, stats: &mut SynthesisStats, input: usize) {
+        if self.seen.insert(input) {
+            self.inputs.push(input);
+            stats.counterexamples += 1;
+        }
+    }
+
+    /// Notes the refuting input and blocks every candidate that replays
+    /// the refuting run (just `assignment` when there is no core).
+    fn record(
+        &mut self,
+        solver: &mut Solver,
+        encoding: &ChoiceEncoding,
+        stats: &mut SynthesisStats,
+        assignment: &afg_eml::ChoiceAssignment,
+        refutation: Refutation,
+    ) {
+        self.note_input(stats, refutation.input);
+        match refutation.core {
+            Some(core) => {
+                let width = encoding.block_core(solver, assignment, &core);
+                stats.core_clauses = stats.core_clauses.saturating_add(1);
+                stats.core_literals = stats
+                    .core_literals
+                    .saturating_add(u32::try_from(width).unwrap_or(u32::MAX));
+            }
+            None => {
+                encoding.block_assignment(solver, assignment);
+            }
         }
     }
 }
@@ -346,7 +380,7 @@ def computeDeriv(poly_list_int):
             solution.cost, 1,
             "minimal repair should be a single correction"
         );
-        assert!(solution.minimal, "the descent ran to Unsat");
+        assert!(solution.minimal, "the ascent proved Unsat below cost 1");
         assert_eq!(solution.stats.strategy, "cegis");
         // The repaired program really is equivalent.
         let repaired = cp.concretize(&solution.assignment);
@@ -357,8 +391,8 @@ def computeDeriv(poly_list_int):
     fn minimisation_descent_runs_on_a_single_encoding() {
         // The incremental-search acceptance criterion: one synthesize call
         // constructs exactly one ChoiceEncoding (hence one solver encoding),
-        // and the learnt-clause count sampled at each bound tightening is
-        // monotone — impossible if the descent re-encoded per bound, since a
+        // and the learnt-clause count sampled at each bound raise is
+        // monotone — impossible if the ascent re-encoded per bound, since a
         // fresh solver would reset the counter.
         let student = parse_program(
             "def computeDeriv(poly):\n    if len(poly) == 1:\n        return [0]\n    out = []\n    for i in range(0, len(poly)):\n        out.append(i * poly[i])\n    return out\n",
@@ -387,11 +421,11 @@ def computeDeriv(poly_list_int):
         let descent = &solution.stats.descent_learnts;
         assert!(
             descent.windows(2).all(|w| w[0] <= w[1]),
-            "learnt-clause counts must be monotone across the descent: {descent:?}"
+            "learnt-clause counts must be monotone across the ascent: {descent:?}"
         );
         assert!(
             solution.stats.sat_learnts >= descent.last().copied().unwrap_or(0),
-            "final learnt count cannot drop below the last descent sample"
+            "final learnt count cannot drop below the last ascent sample"
         );
         assert!(
             solution.stats.sat_propagations > 0,
@@ -422,7 +456,7 @@ def computeDeriv(poly_list_int):
         assert!(!donor.stats.warm_start_attempted);
 
         // Warm run seeded with the donor's own repair: one hypothesis
-        // verification, then straight to the Unsat proof below its cost.
+        // verification, then only the bounds below its cost to refute.
         let warm = WarmStart {
             assignment: donor.assignment.clone(),
             counterexamples: donor.counterexamples.clone(),
@@ -431,7 +465,7 @@ def computeDeriv(poly_list_int):
             CegisSolver::new().synthesize_with_hint(&cp, &oracle, &config, Some(&warm));
         let warm_solution = warm_outcome.solution().expect("fixable");
         assert_eq!(warm_solution.cost, donor.cost, "cost-identical to cold");
-        assert!(warm_solution.minimal, "the descent still proves minimality");
+        assert!(warm_solution.minimal, "the ascent still proves minimality");
         assert!(warm_solution.stats.warm_start_attempted);
         assert!(warm_solution.stats.warm_start_verified);
         assert!(
@@ -514,6 +548,100 @@ def computeDeriv(poly_list_int):
             0,
             "enumeration must not concretize candidates"
         );
+    }
+
+    fn off_by_one_program() -> ChoiceProgram {
+        let student = parse_program(
+            "def computeDeriv(poly):\n    if len(poly) == 1:\n        return [0]\n    out = []\n    for i in range(0, len(poly)):\n        out.append(i * poly[i])\n    return out\n",
+        )
+        .unwrap();
+        apply_error_model(
+            &student,
+            Some("computeDeriv"),
+            &library::compute_deriv_model(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn refutations_block_through_narrow_consultation_cores() {
+        let cp = off_by_one_program();
+        let outcome = CegisSolver::new().synthesize(&cp, &oracle(), &SynthesisConfig::fast());
+        let stats = &outcome.solution().expect("fixable").stats;
+        // Every refutation (the original program included) ran on the VM,
+        // so each was blocked through its core...
+        assert!(stats.sweep_compiled);
+        assert_eq!(stats.core_clauses as usize, stats.candidates_checked - 1);
+        // ...and a core names only the sites its run consulted: fewer
+        // literals than whole-assignment blocking, which spends every
+        // selector of each default site plus one per correction.
+        let mut savings: Vec<usize> = cp
+            .choices
+            .iter()
+            .map(|info| info.options.len().saturating_sub(2))
+            .collect();
+        savings.sort_unstable_by(|a, b| b.cmp(a));
+        let selectors: usize = cp.choices.iter().map(|i| i.options.len() - 1).sum();
+        let narrowest = selectors - savings.iter().take(3).sum::<usize>();
+        let whole = stats.core_clauses as usize * narrowest;
+        assert!(
+            (stats.core_literals as usize) < whole,
+            "{} core literals vs {whole} for whole assignments",
+            stats.core_literals
+        );
+    }
+
+    #[test]
+    fn wall_clock_cuts_time_out_unless_a_warm_hypothesis_verified() {
+        let cp = off_by_one_program();
+        let oracle = oracle();
+        let cut = SynthesisConfig {
+            time_budget: std::time::Duration::ZERO,
+            ..SynthesisConfig::fast()
+        };
+        let outcome = CegisSolver::new().synthesize(&cp, &oracle, &cut);
+        match &outcome {
+            SynthesisOutcome::Timeout(stats) => assert!(stats.wall_clock_limited),
+            other => panic!("a cut cold search holds no answer: {other:?}"),
+        }
+
+        // A verified cost-2 hypothesis survives the cut as an unproven
+        // repair: the minimal repair plus one correction that changes
+        // nothing observable.
+        let config = SynthesisConfig::fast();
+        let minimal = CegisSolver::new()
+            .synthesize(&cp, &oracle, &config)
+            .solution()
+            .expect("fixable")
+            .assignment
+            .clone();
+        let session = oracle.choice_session(&cp);
+        let hypothesis = cp
+            .choices
+            .iter()
+            .filter(|info| minimal.selected(info.id) == 0)
+            .map(|info| {
+                let mut padded = minimal.clone();
+                padded.select(info.id, 1);
+                padded
+            })
+            .find(|padded| session.is_equivalent(padded))
+            .expect("some correction is behaviourally inert");
+        let warm = WarmStart {
+            assignment: hypothesis.clone(),
+            counterexamples: Vec::new(),
+        };
+        let outcome = CegisSolver::new().synthesize_with_hint(&cp, &oracle, &cut, Some(&warm));
+        let solution = outcome.solution().expect("the verified hypothesis");
+        assert_eq!(solution.assignment, hypothesis);
+        assert!(!solution.minimal);
+        assert!(solution.stats.wall_clock_limited);
+
+        // Uncut, the ascent below the hypothesis finds the cheaper repair.
+        let outcome = CegisSolver::new().synthesize_with_hint(&cp, &oracle, &config, Some(&warm));
+        let solution = outcome.solution().expect("fixable");
+        assert_eq!(solution.cost, 1);
+        assert!(solution.minimal);
     }
 
     #[test]

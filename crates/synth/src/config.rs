@@ -70,7 +70,7 @@ pub struct SynthesisStats {
     /// of `sweep_inputs`; 0 on the tree path or with the cache off).
     pub sweep_cache_hits: u64,
     /// Verdict-cache trie nodes held at the end of the search.
-    pub sweep_cache_nodes: u64,
+    pub sweep_cache_nodes: u32,
     /// Which strategy produced this result (`"cegis"` or `"enum"`).
     pub strategy: &'static str,
     /// Whether the search was stopped by the wall clock (as opposed to
@@ -82,12 +82,19 @@ pub struct SynthesisStats {
     /// (the submission was incorrect and the hypothesis fit this choice
     /// program under the cost budget).
     pub warm_start_attempted: bool,
-    /// Whether the tried hypothesis verified, letting the minimisation
-    /// descent start at its cost instead of the top of the cost scale.
+    /// Whether the tried hypothesis verified, capping the CEGISMIN cost
+    /// ascent just below its cost.
     pub warm_start_verified: bool,
-    /// Learnt-clause count sampled at each CEGISMIN bound tightening —
-    /// monotone when (and only when) the whole descent runs on one solver.
+    /// Learnt-clause count sampled at each CEGISMIN bound raise — monotone
+    /// when (and only when) the whole ascent runs on one solver.
     pub descent_learnts: Vec<u64>,
+    /// Blocking clauses built from a refuting run's consultation core.
+    /// (The narrow counters keep `GradeOutcome::Feedback`, which carries
+    /// these stats, within clippy's enum-variant size bound.)
+    pub core_clauses: u32,
+    /// Total literal width of those clauses (a whole-assignment block
+    /// would need one literal per choice site, or more).
+    pub core_literals: u32,
     /// Wall-clock time spent.
     pub elapsed: Duration,
     /// The share of `elapsed` spent inside SAT `solve` calls (zero for
@@ -107,8 +114,8 @@ pub struct Solution {
     /// Number of corrections (`totalCost` in the paper).
     pub cost: usize,
     /// Whether minimality was *proven* (the search space below `cost` was
-    /// exhausted) rather than being the best candidate found before the
-    /// budget ran out.
+    /// exhausted).  Only a verified warm-start hypothesis whose search was
+    /// cut before the cheaper bounds were refuted is not.
     pub minimal: bool,
     /// The oracle input indices accumulated as counterexamples during the
     /// search, in discovery order.  The cluster index stores them with the
@@ -128,10 +135,11 @@ pub struct Solution {
 /// The contract keeps warm-started outcomes **cost-identical** to cold
 /// ones: the hypothesis is first re-verified against *this* submission
 /// with one bounded sweep (skeleton-mates need not agree on behaviour);
-/// only on success does the minimisation descent start at the hypothesis
-/// cost, and the descent still runs to Unsat, so the proven minimal cost
-/// cannot differ from a cold search.  On failure the hypothesis is just
-/// one more blocked candidate and the search proceeds cold.
+/// only on success does it cap the CEGISMIN cost ascent at `cost - 1`,
+/// and the ascent still runs to a verified cheaper candidate or to Unsat,
+/// so the proven minimal cost cannot differ from a cold search.  On
+/// failure the hypothesis is just one more refuted candidate, blocked
+/// through its core, and the search proceeds cold.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WarmStart {
     /// The representative's verified minimal repair.
@@ -180,8 +188,8 @@ impl SynthesisOutcome {
     /// Whether this outcome settles the search: the submission is correct,
     /// provably unrepairable within the configured bounds, or repaired with
     /// *proven* minimal cost.  Budget-limited outcomes (timeouts,
-    /// best-so-far repairs) are not definitive — a larger budget might
-    /// still do better.
+    /// unproven warm-start repairs) are not definitive — a larger budget
+    /// might still do better.
     pub fn is_definitive(&self) -> bool {
         match self {
             SynthesisOutcome::AlreadyCorrect | SynthesisOutcome::NoRepairFound(_) => true,

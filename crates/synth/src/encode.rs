@@ -9,12 +9,13 @@
 //! database: a [`afg_sat::Totalizer`] built once over the selectors exposes
 //! one output literal per possible count, and CEGISMIN activates
 //! `totalCost ≤ k` by passing the negated `k+1`-th output as an
-//! *assumption* to each solve call — the whole minimisation descent then
-//! runs on a single solver instance with all learnt clauses intact.
+//! *assumption* to each solve call — the whole cost ascent then runs on a
+//! single solver instance with all learnt clauses intact.
 
 use std::collections::BTreeMap;
 
 use afg_eml::{ChoiceAssignment, ChoiceId, ChoiceProgram};
+use afg_interp::Consultation;
 use afg_sat::{add_at_most, Lit, Model, Solver, Totalizer, Var};
 
 /// Per-thread instrumentation of encoding constructions.
@@ -123,24 +124,70 @@ impl ChoiceEncoding {
         assignment
     }
 
-    /// Adds a clause excluding exactly this assignment (the CEGIS blocking
-    /// clause added after a candidate fails a counterexample).
+    /// Adds a clause excluding exactly this assignment: every site must
+    /// keep its selection.  CEGIS falls back to it for refutations without
+    /// a consultation core (programs the VM cannot lower).
     pub fn block_assignment(&self, solver: &mut Solver, assignment: &ChoiceAssignment) -> bool {
         let mut clause: Vec<Lit> = Vec::new();
         for (&id, vars) in &self.selectors {
-            let selected = assignment.selected(id);
-            if selected == 0 {
-                // The candidate kept the default here; a different candidate
-                // must select *something* at this site...
-                clause.extend(vars.iter().map(|v| v.positive()));
-            } else {
-                // ...or deselect the option chosen here.
-                if let Some(var) = vars.get(selected - 1) {
-                    clause.push(var.negative());
-                }
-            }
+            Self::push_differs(&mut clause, vars, assignment.selected(id));
         }
         solver.add_clause(&clause)
+    }
+
+    /// Adds the clause excluding every assignment that replays the
+    /// refuting run `core` of `assignment` — one that takes the same
+    /// clamped option at each consulted site — and returns its width.
+    ///
+    /// Each distinct consulted site contributes one literal saying the
+    /// other assignment takes a different option there: the OR of the
+    /// site's selectors for option 0, `¬sel[option - 1]` otherwise.  A
+    /// clamped tail (`option == bound - 1` below the site's last option)
+    /// stands for several selections, so it falls back to `assignment`'s
+    /// own selection, which blocks less and stays sound.  Sites consulted
+    /// only with `bound <= 1` have one effective option and add nothing;
+    /// an empty core yields the empty clause (nothing can repair the
+    /// input).
+    pub fn block_core(
+        &self,
+        solver: &mut Solver,
+        assignment: &ChoiceAssignment,
+        core: &[Consultation],
+    ) -> usize {
+        let mut clause: Vec<Lit> = Vec::new();
+        let mut blocked: Vec<ChoiceId> = Vec::new();
+        for step in core.iter().filter(|step| step.bound > 1) {
+            if blocked.contains(&step.id) {
+                continue;
+            }
+            blocked.push(step.id);
+            // Sites without selectors never vary: nothing to differ on.
+            let Some(vars) = self.selectors.get(&step.id) else {
+                continue;
+            };
+            let option = step.option as usize;
+            let clamped_tail = option + 1 == step.bound as usize && option < vars.len();
+            let selected = if clamped_tail {
+                assignment.selected(step.id)
+            } else {
+                option
+            };
+            Self::push_differs(&mut clause, vars, selected);
+        }
+        solver.add_clause(&clause);
+        clause.len()
+    }
+
+    /// Pushes the literals saying a site with selector `vars` does not
+    /// take option `selected`.
+    fn push_differs(clause: &mut Vec<Lit>, vars: &[Var], selected: usize) {
+        if selected == 0 {
+            // Kept the default: differing means selecting *something*...
+            clause.extend(vars.iter().map(|v| v.positive()));
+        } else if let Some(var) = vars.get(selected - 1) {
+            // ...or deselecting the option chosen here.
+            clause.push(var.negative());
+        }
     }
 }
 
@@ -282,5 +329,170 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 4);
+    }
+
+    fn step(site: u32, bound: u32, option: u32) -> Consultation {
+        Consultation {
+            id: ChoiceId(site),
+            bound,
+            option,
+        }
+    }
+
+    /// Assumptions pinning every selector to exactly `assignment`.
+    fn pin(encoding: &ChoiceEncoding, assignment: &ChoiceAssignment) -> Vec<Lit> {
+        let mut lits = Vec::new();
+        for (&id, vars) in &encoding.selectors {
+            for (j, var) in vars.iter().enumerate() {
+                lits.push(if assignment.selected(id) == j + 1 {
+                    var.positive()
+                } else {
+                    var.negative()
+                });
+            }
+        }
+        lits
+    }
+
+    fn excluded(
+        solver: &mut Solver,
+        encoding: &ChoiceEncoding,
+        assignment: &ChoiceAssignment,
+    ) -> bool {
+        !solver
+            .solve_under_assumptions(&pin(encoding, assignment))
+            .is_sat()
+    }
+
+    /// Every assignment of `option_counts`, each site default or one of its
+    /// options.
+    fn all_assignments(option_counts: &[usize]) -> Vec<ChoiceAssignment> {
+        let mut all = vec![ChoiceAssignment::default_choices()];
+        for (site, &count) in option_counts.iter().enumerate() {
+            all = all
+                .iter()
+                .flat_map(|base| {
+                    (0..count).map(move |option| {
+                        let mut next = base.clone();
+                        next.select(ChoiceId(site as u32), option);
+                        next
+                    })
+                })
+                .collect();
+        }
+        all
+    }
+
+    #[test]
+    fn empty_core_makes_the_solver_unsat() {
+        let mut solver = Solver::new();
+        let program = toy_program(&[3, 2]);
+        let encoding = ChoiceEncoding::new(&mut solver, &program);
+        let assignment = ChoiceAssignment::default_choices();
+        assert_eq!(encoding.block_core(&mut solver, &assignment, &[]), 0);
+        assert_eq!(solver.solve(), SatResult::Unsat);
+    }
+
+    #[test]
+    fn single_option_consultations_add_no_literal() {
+        let mut solver = Solver::new();
+        let program = toy_program(&[3, 2]);
+        let encoding = ChoiceEncoding::new(&mut solver, &program);
+        let assignment = ChoiceAssignment::from_pairs([(ChoiceId(0), 2)]);
+        // Site 0 is consulted only where one option exists; only site 1's
+        // consultation constrains anything.
+        let core = [step(0, 1, 0), step(1, 2, 0)];
+        assert_eq!(encoding.block_core(&mut solver, &assignment, &core), 1);
+        // Any assignment selecting at site 1 survives, whatever site 0 does.
+        let survivor = ChoiceAssignment::from_pairs([(ChoiceId(1), 1)]);
+        assert!(!excluded(&mut solver, &encoding, &survivor));
+        assert!(excluded(&mut solver, &encoding, &assignment));
+        assert!(excluded(
+            &mut solver,
+            &encoding,
+            &ChoiceAssignment::default_choices()
+        ));
+    }
+
+    #[test]
+    fn clamped_tail_falls_back_to_the_exact_selection() {
+        let mut solver = Solver::new();
+        let program = toy_program(&[4]);
+        let encoding = ChoiceEncoding::new(&mut solver, &program);
+        // Option 3 consulted through a two-way dispatch clamps to 1, which
+        // options 1, 2 and 3 all share: only option 3 itself is blocked.
+        let assignment = ChoiceAssignment::from_pairs([(ChoiceId(0), 3)]);
+        assert_eq!(
+            encoding.block_core(&mut solver, &assignment, &[step(0, 2, 1)]),
+            1
+        );
+        assert!(excluded(&mut solver, &encoding, &assignment));
+        for option in 0..3 {
+            let other = ChoiceAssignment::from_pairs([(ChoiceId(0), option)]);
+            assert!(!excluded(&mut solver, &encoding, &other), "option {option}");
+        }
+    }
+
+    #[test]
+    fn repeated_consultations_of_a_site_yield_one_literal() {
+        let mut solver = Solver::new();
+        let program = toy_program(&[3, 3, 2]);
+        let encoding = ChoiceEncoding::new(&mut solver, &program);
+        let assignment = ChoiceAssignment::from_pairs([(ChoiceId(1), 2)]);
+        let core = [
+            step(0, 3, 0),
+            step(1, 3, 2),
+            step(0, 3, 0),
+            step(1, 3, 2),
+            step(0, 3, 0),
+        ];
+        // Site 0 kept its default (two selectors), site 1 took option 2.
+        assert_eq!(encoding.block_core(&mut solver, &assignment, &core), 3);
+    }
+
+    #[test]
+    fn core_clauses_exclude_exactly_the_replaying_assignments() {
+        // Exhaustive over a three-site space: after blocking a core, an
+        // assignment is excluded only if it takes the same clamped option
+        // at every consultation (sound), and — with no clamped tail in the
+        // core — every such assignment is excluded (complete).
+        let option_counts = [3, 2, 4];
+        let clamp = |b: &ChoiceAssignment, s: &Consultation| {
+            b.selected(s.id).min(s.bound as usize - 1) as u32
+        };
+        let cases: [(ChoiceAssignment, Vec<Consultation>); 3] = [
+            (
+                ChoiceAssignment::from_pairs([(ChoiceId(0), 1)]),
+                vec![step(0, 3, 1), step(2, 4, 0)],
+            ),
+            (
+                ChoiceAssignment::from_pairs([(ChoiceId(1), 1), (ChoiceId(2), 2)]),
+                vec![step(1, 2, 1), step(2, 4, 2), step(1, 2, 1)],
+            ),
+            (
+                ChoiceAssignment::from_pairs([(ChoiceId(2), 3)]),
+                vec![step(2, 2, 1), step(0, 3, 0)],
+            ),
+        ];
+        for (case, (assignment, core)) in cases.iter().enumerate() {
+            let mut solver = Solver::new();
+            let encoding = ChoiceEncoding::new(&mut solver, &toy_program(&option_counts));
+            encoding.block_core(&mut solver, assignment, core);
+            let has_tail = core.iter().any(|s| {
+                s.option + 1 == s.bound && (s.bound as usize) < option_counts[s.id.0 as usize]
+            });
+            for other in all_assignments(&option_counts) {
+                let replays = core.iter().all(|s| clamp(&other, s) == s.option);
+                let blocked = excluded(&mut solver, &encoding, &other);
+                assert!(
+                    !blocked || replays,
+                    "case {case}: {other:?} differs at a consulted site but was excluded"
+                );
+                if !has_tail {
+                    assert_eq!(blocked, replays, "case {case}: {other:?}");
+                }
+            }
+            assert!(excluded(&mut solver, &encoding, assignment));
+        }
     }
 }

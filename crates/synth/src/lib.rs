@@ -11,10 +11,11 @@
 //! * [`CegisSolver`] — the paper's approach: choice selectors are encoded as
 //!   boolean variables in a SAT solver (`afg-sat`), candidates are proposed
 //!   by the solver, checked against accumulated counterexamples, verified by
-//!   bounded-exhaustive interpretation, and the CEGISMIN refinement
-//!   `totalCost < best` drives the search to a minimum (Algorithm 1).  The
-//!   whole minimisation descent is incremental: one solver, one encoding,
-//!   cost bounds activated per call as totalizer assumptions.
+//!   bounded-exhaustive interpretation, and each refutation blocks every
+//!   candidate that replays the refuting run.  CEGISMIN (Algorithm 1)
+//!   raises the `totalCost` bound from 1 until a candidate verifies, so the
+//!   first repair is minimal.  The whole ascent is incremental: one solver,
+//!   one encoding, cost bounds activated per call as totalizer assumptions.
 //! * [`EnumerativeSolver`] — a branch-and-bound baseline that explores
 //!   candidates in order of increasing cost, used for ablation benchmarks
 //!   and as an independent correctness check.

@@ -28,8 +28,8 @@ pub trait SearchStrategy {
     /// Runs the search with an optional transferred [`WarmStart`]
     /// hypothesis from a cluster representative.  The default
     /// implementation ignores the hint — strategies that can exploit it
-    /// (CEGIS starts its minimisation descent at the verified hypothesis
-    /// cost) override this; either way the outcome must stay
+    /// (CEGIS stops its cost ascent below the verified hypothesis cost)
+    /// override this; either way the outcome must stay
     /// cost-identical to the hint-free search.
     fn synthesize_with_hint(
         &self,
