@@ -39,6 +39,16 @@ fn sweep_ns_per_input(rows: &[Table1Row]) -> f64 {
     wall.as_nanos() as f64 / inputs as f64
 }
 
+/// SAT decisions per verified candidate across the corpus (0.0 when no
+/// candidate was checked).
+fn decisions_per_candidate(rows: &[Table1Row]) -> f64 {
+    let candidates: u64 = rows.iter().map(|r| r.candidates).sum();
+    if candidates == 0 {
+        return 0.0;
+    }
+    rows.iter().map(|r| r.sat_decisions).sum::<u64>() as f64 / candidates as f64
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = CliOptions::parse_or_exit(&args, 40);
@@ -100,6 +110,18 @@ fn main() {
         (
             "restarts",
             rows.iter().map(|r| r.restarts).sum::<u64>().to_json(),
+        ),
+        (
+            "sat_decisions",
+            rows.iter().map(|r| r.sat_decisions).sum::<u64>().to_json(),
+        ),
+        (
+            "candidates",
+            rows.iter().map(|r| r.candidates).sum::<u64>().to_json(),
+        ),
+        (
+            "decisions_per_candidate",
+            decisions_per_candidate(&rows).to_json(),
         ),
         (
             "timeouts",
@@ -168,7 +190,7 @@ fn main() {
             options.sweep.name()
         );
         println!(
-            "Solver: {} conflicts, {} learnts, {} propagations, {} restarts, {} timeouts, {} core clauses of {} literals ({} backend)",
+            "Solver: {} conflicts, {} learnts, {} propagations, {} restarts, {:.1} decisions/candidate, {} timeouts, {} core clauses of {} literals ({} backend)",
             solver.get("sat_conflicts").and_then(Json::as_i64).unwrap_or(0),
             solver.get("sat_learnts").and_then(Json::as_i64).unwrap_or(0),
             solver
@@ -176,6 +198,7 @@ fn main() {
                 .and_then(Json::as_i64)
                 .unwrap_or(0),
             solver.get("restarts").and_then(Json::as_i64).unwrap_or(0),
+            decisions_per_candidate(&rows),
             solver.get("timeouts").and_then(Json::as_i64).unwrap_or(0),
             solver.get("core_clauses").and_then(Json::as_i64).unwrap_or(0),
             solver

@@ -81,6 +81,10 @@ pub struct Table1Row {
     pub sat_learnts: u64,
     /// SAT restarts summed over the fixed attempts.
     pub restarts: u64,
+    /// SAT branching decisions summed over the fixed attempts.
+    pub sat_decisions: u64,
+    /// Candidates verified, summed over the fixed attempts.
+    pub candidates: u64,
     /// Consultation-core blocking clauses summed over the fixed attempts.
     pub core_clauses: u64,
     /// Total literal width of those clauses.
@@ -190,6 +194,8 @@ impl afg_json::ToJson for Table1Row {
             ("sat_propagations", self.sat_propagations.to_json()),
             ("sat_learnts", self.sat_learnts.to_json()),
             ("restarts", self.restarts.to_json()),
+            ("sat_decisions", self.sat_decisions.to_json()),
+            ("candidates", self.candidates.to_json()),
             ("core_clauses", self.core_clauses.to_json()),
             ("core_literals", self.core_literals.to_json()),
             ("sweeps", self.sweeps.to_json()),
@@ -242,6 +248,9 @@ impl afg_json::FromJson for Table1Row {
             sat_propagations: wide("sat_propagations")?,
             sat_learnts: wide("sat_learnts")?,
             restarts: wide("restarts")?,
+            // Absent in documents older than the decision count: read as 0.
+            sat_decisions: wide("sat_decisions").unwrap_or(0),
+            candidates: wide("candidates").unwrap_or(0),
             // Absent in pre-core-blocking documents: read as 0.
             core_clauses: wide("core_clauses").unwrap_or(0),
             core_literals: wide("core_literals").unwrap_or(0),
@@ -359,6 +368,8 @@ fn aggregate(problem: &Problem, records: &[GradeRecord]) -> Table1Row {
     let mut sat_propagations = 0u64;
     let mut sat_learnts = 0u64;
     let mut restarts = 0u64;
+    let mut sat_decisions = 0u64;
+    let mut candidates = 0u64;
     let mut core_clauses = 0u64;
     let mut core_literals = 0u64;
     let mut sweeps = 0u64;
@@ -368,7 +379,9 @@ fn aggregate(problem: &Problem, records: &[GradeRecord]) -> Table1Row {
         sat_conflicts += stats.sat_conflicts;
         sat_propagations += stats.sat_propagations;
         sat_learnts += stats.sat_learnts;
-        restarts += stats.restarts;
+        restarts += u64::from(stats.restarts);
+        sat_decisions += u64::from(stats.sat_decisions);
+        candidates += stats.candidates_checked as u64;
         core_clauses += u64::from(stats.core_clauses);
         core_literals += u64::from(stats.core_literals);
         sweeps += stats.sweeps;
@@ -411,6 +424,8 @@ fn aggregate(problem: &Problem, records: &[GradeRecord]) -> Table1Row {
         sat_propagations,
         sat_learnts,
         restarts,
+        sat_decisions,
+        candidates,
         core_clauses,
         core_literals,
         sweeps,
@@ -790,6 +805,8 @@ mod tests {
             sat_propagations: 0,
             sat_learnts: 0,
             restarts: 0,
+            sat_decisions: 0,
+            candidates: 0,
             core_clauses: 0,
             core_literals: 0,
             sweeps: 0,
@@ -822,6 +839,8 @@ mod tests {
             sat_propagations: 99_000,
             sat_learnts: 77,
             restarts: 3,
+            sat_decisions: 640,
+            candidates: 312,
             core_clauses: 310,
             core_literals: 1_150,
             sweeps: 1_200,

@@ -15,7 +15,7 @@
 //!   `≤ k` is then activated per solve call by *assuming* the negation of
 //!   the `k+1`-th output ([`Totalizer::at_most`]) instead of adding hard
 //!   clauses.  This is what lets the CEGISMIN cost ascent move its bound
-//!   on a single solver instance while keeping every learnt clause.
+//!   on a single solver instance whose learnt clauses all stay valid.
 
 use crate::literal::Lit;
 use crate::solver::Solver;

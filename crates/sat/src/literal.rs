@@ -77,7 +77,10 @@ impl fmt::Display for Lit {
 }
 
 /// A satisfying assignment returned by the solver.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Variables excluded from branching ([`crate::Solver::branch_only_on`])
+/// that propagation left unassigned read `false`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Model {
     pub(crate) values: Vec<bool>,
 }

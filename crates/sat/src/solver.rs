@@ -4,11 +4,31 @@
 //! synthesizer, whose inner loop is a SAT solver.  This module provides that
 //! substrate: a conflict-driven clause-learning solver with two-literal
 //! watching, first-UIP conflict analysis, VSIDS-style activity ordering via
-//! an indexed max-heap, phase saving, geometric restarts and **incremental
-//! solving under assumptions** — the mechanism CEGISMIN uses to tighten its
-//! cost bound without re-encoding (assumption literals are pseudo-decisions,
-//! so every learnt clause remains a consequence of the clause database alone
-//! and stays valid across `solve` calls).
+//! an indexed max-heap, phase saving, geometric restarts, a bounded learnt
+//! database and **incremental solving under assumptions** — the mechanism
+//! CEGISMIN uses to move its cost bound without re-encoding (assumption
+//! literals are pseudo-decisions, so every learnt clause remains a
+//! consequence of the clause database alone and stays valid across calls).
+//!
+//! There is one CDCL loop, [`Solver::solve_with`], and it hosts a
+//! **theory** in the DPLL(T) manner: whenever every decision variable is
+//! assigned without conflict, the theory sees the assignment and accepts
+//! it, stops the search, or rejects it with a clause that is false under
+//! it.  A rejection is not a restart: the solver backjumps as it would
+//! after a conflict (or asserts the clause's one top-level literal) and
+//! keeps searching from there.  CEGIS plugs its verifier in as the theory;
+//! [`Solver::solve_under_assumptions`] is the same loop with a theory that
+//! accepts everything.
+//!
+//! Branching can be limited to a subset of the variables
+//! ([`Solver::branch_only_on`]).  That is sound when propagation alone
+//! settles every constraint once the decision variables are assigned, as
+//! it does for the choice encoding's selectors.
+//!
+//! Learnt clauses are bounded: at a restart, once more than a fixed number
+//! are live, the longer half of them and every clause already satisfied at
+//! level 0 are dropped, and the arena is compacted in place.  Original and
+//! theory clauses are never forgotten.
 
 use crate::literal::{Lit, Model, Var};
 
@@ -48,11 +68,33 @@ pub struct SolverStats {
     pub conflicts: u64,
     /// Restarts performed.
     pub restarts: u64,
-    /// Clauses learnt (and kept — the solver never forgets).
+    /// Clauses learnt since creation.  Cumulative: learnt-database
+    /// reductions forget clauses but never lower this count.
     pub learnts: u64,
+    /// Learnt-database reductions performed.
+    pub reductions: u64,
+}
+
+/// A theory's answer to a complete assignment of the decision variables
+/// (see [`Solver::solve_with`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TheoryAnswer {
+    /// The assignment is a model: the search returns it.
+    Accept,
+    /// The assignment is rejected by this clause, which is added for good
+    /// and should be false under the assignment; the search goes on.
+    Block(Vec<Lit>),
+    /// The search is abandoned.
+    Stop,
 }
 
 const UNASSIGNED: u8 = 2;
+
+/// Bit of a clause's length word marking a learnt clause.
+const LEARNT: u32 = 1 << 31;
+
+/// Live learnt clauses above which a restart reduces the learnt database.
+const LEARNT_CAP: usize = 2_000;
 
 /// Marker for a variable currently absent from the branching heap.
 const NOT_IN_HEAP: usize = usize::MAX;
@@ -154,31 +196,41 @@ impl VarOrder {
 
 /// An incremental CDCL SAT solver.
 ///
-/// Clauses may be added between `solve` calls; learnt clauses are kept, so
-/// repeated solving (as done by the CEGIS loop, which adds blocking clauses)
-/// is cheap.  [`Solver::solve_under_assumptions`] additionally decides
-/// satisfiability under a conjunction of assumption literals without adding
-/// them to the clause database — the CEGISMIN cost ascent activates
-/// successively looser cost bounds this way, one encoding per grade.
+/// Clauses may be added between `solve` calls; learnt clauses are kept
+/// (up to the learnt-database bound), so repeated solving is cheap.
+/// [`Solver::solve_under_assumptions`] decides satisfiability under a
+/// conjunction of assumption literals without adding them to the clause
+/// database — the CEGISMIN cost ascent activates successively looser cost
+/// bounds this way, one encoding per grade — and [`Solver::solve_with`]
+/// additionally lets a theory reject candidate models mid-search.
 #[derive(Debug, Default)]
 pub struct Solver {
     /// Clause database, original and learnt clauses alike, in one flat
-    /// arena: each clause is its length followed by its literals, and is
-    /// referred to by the offset of its length word.  Propagation walks
-    /// many clauses per solve; contiguous storage keeps that walk compact.
+    /// arena: each clause is its length word (with the [`LEARNT`] bit for
+    /// learnt clauses) followed by its literals, and is referred to by the
+    /// offset of its length word.  Propagation walks many clauses per
+    /// solve; contiguous storage keeps that walk compact.
     arena: Vec<u32>,
     /// Number of clauses in `arena`.
     num_clauses: usize,
+    /// Number of learnt clauses in `arena`.
+    live_learnts: usize,
+    /// Live learnt clauses above which a restart reduces the database.
+    learnt_cap: usize,
     /// For each literal index, the clauses currently watching it.
     watches: Vec<Vec<u32>>,
     /// Current assignment per variable: 0 = false, 1 = true, 2 = unassigned.
     assign: Vec<u8>,
+    /// Whether the search branches on each variable (see
+    /// [`Solver::branch_only_on`]).
+    decision: Vec<bool>,
     /// Saved phase per variable (last assigned polarity).
     phase: Vec<bool>,
     /// Decision level at which each variable was assigned.
     level: Vec<u32>,
-    /// Reason clause (its arena offset) for each assigned variable (None
-    /// for decisions).
+    /// Reason clause (its arena offset) for each variable assigned by
+    /// propagation (None for decisions).  Level-0 reasons are cleared when
+    /// the learnt database is reduced: analysis never reads them.
     reason: Vec<Option<u32>>,
     /// Assignment trail.
     trail: Vec<Lit>,
@@ -198,6 +250,8 @@ pub struct Solver {
     last_core: Vec<Lit>,
     /// Conflict-analysis marks per variable; all false between analyses.
     seen: Vec<bool>,
+    /// The assignment shown to the theory, reused across candidates.
+    model: Model,
     /// Number of conflicts seen (drives restarts).
     conflicts: u64,
     /// Statistics: number of decisions.
@@ -206,8 +260,10 @@ pub struct Solver {
     propagations: u64,
     /// Statistics: number of restarts.
     restarts: u64,
-    /// Statistics: number of learnt clauses retained.
+    /// Statistics: number of clauses learnt since creation.
     learnts: u64,
+    /// Statistics: number of learnt-database reductions.
+    reductions: u64,
 }
 
 impl Solver {
@@ -216,7 +272,18 @@ impl Solver {
         Solver {
             var_inc: 1.0,
             ok: true,
+            learnt_cap: LEARNT_CAP,
             ..Solver::default()
+        }
+    }
+
+    /// A solver that reduces its learnt database above `cap` live learnt
+    /// clauses, so small test instances exercise the reduction.
+    #[cfg(test)]
+    pub(crate) fn with_learnt_cap(cap: usize) -> Solver {
+        Solver {
+            learnt_cap: cap,
+            ..Solver::new()
         }
     }
 
@@ -238,6 +305,7 @@ impl Solver {
             conflicts: self.conflicts,
             restarts: self.restarts,
             learnts: self.learnts,
+            reductions: self.reductions,
         }
     }
 
@@ -245,6 +313,7 @@ impl Solver {
     pub fn new_var(&mut self) -> Var {
         let index = self.assign.len() as u32;
         self.assign.push(UNASSIGNED);
+        self.decision.push(true);
         self.phase.push(false);
         self.level.push(0);
         self.reason.push(None);
@@ -259,6 +328,18 @@ impl Solver {
     /// Allocates `n` fresh variables and returns them.
     pub fn new_vars(&mut self, n: usize) -> Vec<Var> {
         (0..n).map(|_| self.new_var()).collect()
+    }
+
+    /// Restricts branching to `vars`: every other variable allocated so
+    /// far is only ever assigned by propagation.  A search offers a model
+    /// once every decision variable is assigned, so this is sound only
+    /// when propagation then settles every clause the other variables
+    /// appear in; those left unassigned read `false` in the model.
+    pub fn branch_only_on(&mut self, vars: &[Var]) {
+        self.decision.fill(false);
+        for var in vars {
+            self.decision[var.index()] = true;
+        }
     }
 
     fn lit_value(&self, lit: Lit) -> u8 {
@@ -322,7 +403,7 @@ impl Solver {
                 true
             }
             _ => {
-                self.push_clause(&clause);
+                self.push_clause(&clause, false);
                 true
             }
         }
@@ -349,20 +430,27 @@ impl Solver {
     }
 
     /// Stores a clause of at least two literals, watching its first two.
-    fn push_clause(&mut self, lits: &[Lit]) -> u32 {
+    fn push_clause(&mut self, lits: &[Lit], learnt: bool) -> u32 {
         let clause = u32::try_from(self.arena.len()).expect("clause arena exceeds u32 offsets");
-        self.arena.push(lits.len() as u32);
+        let flag = if learnt { LEARNT } else { 0 };
+        self.arena.push(lits.len() as u32 | flag);
         self.arena.extend(lits.iter().map(|lit| lit.0));
         self.num_clauses += 1;
+        self.live_learnts += usize::from(learnt);
         self.watches[lits[0].negated().index()].push(clause);
         self.watches[lits[1].negated().index()].push(clause);
         clause
     }
 
+    /// The number of literals of the clause at `clause`.
+    fn clause_len(&self, clause: u32) -> usize {
+        (self.arena[clause as usize] & !LEARNT) as usize
+    }
+
     /// The literals of the clause at `clause`.
     fn clause(&self, clause: u32) -> &[u32] {
         let start = clause as usize + 1;
-        &self.arena[start..start + self.arena[clause as usize] as usize]
+        &self.arena[start..start + self.clause_len(clause)]
     }
 
     fn enqueue(&mut self, lit: Lit, reason: Option<u32>) {
@@ -419,7 +507,7 @@ impl Solver {
         // watched literal equal to false_lit.negated().
         let watched = false_lit.negated();
         let base = clause_index as usize + 1;
-        let len = self.arena[clause_index as usize] as usize;
+        let len = self.clause_len(clause_index);
         // Ensure the falsified literal is at position 1.
         if self.arena[base] == watched.0 {
             self.arena.swap(base, base + 1);
@@ -593,23 +681,196 @@ impl Solver {
                 let var = lit.var().index();
                 self.assign[var] = UNASSIGNED;
                 self.reason[var] = None;
-                // Lazy heap re-insertion: freed variables become branchable
-                // again.
-                self.order.insert(var as u32, &self.activity);
+                // Lazy heap re-insertion: freed decision variables become
+                // branchable again.
+                if self.decision[var] {
+                    self.order.insert(var as u32, &self.activity);
+                }
             }
         }
         self.propagate_head = self.propagate_head.min(self.trail.len());
     }
 
-    /// Pops the most active unassigned variable (lazy deletion: entries
-    /// assigned by propagation since insertion are discarded on the way).
+    /// Pops the most active unassigned decision variable (lazy deletion:
+    /// entries assigned by propagation since insertion, or excluded from
+    /// branching, are discarded on the way).
     fn pick_branch_var(&mut self) -> Option<Var> {
         while let Some(var) = self.order.pop(&self.activity) {
-            if self.assign[var as usize] == UNASSIGNED {
+            if self.assign[var as usize] == UNASSIGNED && self.decision[var as usize] {
                 return Some(Var(var));
             }
         }
         None
+    }
+
+    /// Learns from the conflicting clause `conflict`: analyses it,
+    /// backjumps and asserts the learnt clause.  Returns `false` when the
+    /// conflict holds at level 0, i.e. the clause database is
+    /// contradictory.
+    fn learn(&mut self, conflict: u32) -> bool {
+        if self.trail_lim.is_empty() {
+            self.ok = false;
+            return false;
+        }
+        let (learnt, backtrack_level) = self.analyze(conflict);
+        self.cancel_until(backtrack_level);
+        self.var_inc *= 1.05;
+        if learnt.len() == 1 {
+            // Backjumped to level 0, where the asserting literal is free.
+            self.enqueue(learnt[0], None);
+        } else {
+            let index = self.push_clause(&learnt, true);
+            self.learnts += 1;
+            self.enqueue(learnt[0], Some(index));
+        }
+        true
+    }
+
+    /// Adds a theory clause that rejects the current assignment and
+    /// repairs the trail so the search can go on from where it is.
+    /// Returns `false` when the clause database became contradictory.
+    fn add_theory_clause(&mut self, lits: &[Lit]) -> bool {
+        let mut clause: Vec<Lit> = Vec::with_capacity(lits.len());
+        for &lit in lits {
+            if !clause.contains(&lit) {
+                clause.push(lit);
+            }
+        }
+        if clause.iter().any(|&lit| self.lit_value(lit) != 0) {
+            // Not false under the assignment, so not a rejection of it: add
+            // it as an ordinary clause and search again from level 0.
+            return self.add_clause(&clause);
+        }
+        // Literals false at level 0 can never help satisfy it.
+        clause.retain(|&lit| self.level[lit.var().index()] > 0);
+        // Highest decision level first: those literals are watched.
+        clause.sort_by_key(|&lit| std::cmp::Reverse(self.level[lit.var().index()]));
+        match clause.len() {
+            0 => {
+                self.cancel_until(0);
+                self.ok = false;
+                false
+            }
+            1 => {
+                self.cancel_until(0);
+                self.enqueue(clause[0], None);
+                true
+            }
+            _ => {
+                let top = self.level[clause[0].var().index()];
+                let second = self.level[clause[1].var().index()];
+                if top > second {
+                    // One literal alone at the top level: backjump to where
+                    // the clause becomes unit and assert it.
+                    self.cancel_until(second);
+                    let index = self.push_clause(&clause, false);
+                    self.enqueue(clause[0], Some(index));
+                    true
+                } else {
+                    // Several literals at the top level: a conflict there.
+                    self.cancel_until(top);
+                    let index = self.push_clause(&clause, false);
+                    self.learn(index)
+                }
+            }
+        }
+    }
+
+    /// Reduces the learnt database once it holds more than `learnt_cap`
+    /// live learnt clauses: drops the longer half of them (ties broken by
+    /// age, older first), plus every clause satisfied at level 0, and
+    /// compacts the arena in place, re-watching what it keeps.  Original and theory
+    /// clauses are kept unless satisfied at level 0.  Only called at level
+    /// 0 with propagation complete.
+    fn reduce_learnts(&mut self) {
+        if self.live_learnts <= self.learnt_cap {
+            return;
+        }
+        debug_assert!(self.trail_lim.is_empty());
+        // Analysis never reads a level-0 reason, and compaction moves
+        // clauses: forget them rather than leave them dangling.
+        for lit in &self.trail {
+            self.reason[lit.var().index()] = None;
+        }
+        // Keep the shorter half: every learnt clause shorter than
+        // `threshold`, and the first `ties` of those exactly that long.
+        let mut lengths: Vec<u32> = Vec::with_capacity(self.live_learnts);
+        let mut at = 0;
+        while at < self.arena.len() {
+            let header = self.arena[at];
+            if header & LEARNT != 0 {
+                lengths.push(header & !LEARNT);
+            }
+            at += 1 + (header & !LEARNT) as usize;
+        }
+        let keep = lengths.len() - lengths.len() / 2;
+        let (_, &mut threshold, _) = lengths.select_nth_unstable(keep - 1);
+        let mut ties = keep - lengths.iter().filter(|&&len| len < threshold).count();
+
+        for watch_list in &mut self.watches {
+            watch_list.clear();
+        }
+        let (mut read, mut write) = (0, 0);
+        while read < self.arena.len() {
+            let header = self.arena[read];
+            let len = (header & !LEARNT) as usize;
+            let learnt = header & LEARNT != 0;
+            let lits = &self.arena[read + 1..read + 1 + len];
+            let satisfied = lits.iter().any(|&lit| self.lit_value(Lit(lit)) == 1);
+            let keep = !satisfied
+                && (!learnt || len < threshold as usize || (len == threshold as usize && ties > 0));
+            if learnt && len == threshold as usize && keep {
+                ties -= 1;
+            }
+            if keep {
+                self.arena.copy_within(read..read + 1 + len, write);
+                let clause = write as u32;
+                self.watches[Lit(self.arena[write + 1]).negated().index()].push(clause);
+                self.watches[Lit(self.arena[write + 2]).negated().index()].push(clause);
+                write += 1 + len;
+            } else {
+                self.num_clauses -= 1;
+                self.live_learnts -= usize::from(learnt);
+            }
+            read += 1 + len;
+        }
+        self.arena.truncate(write);
+        self.reductions += 1;
+    }
+
+    /// Asserts the solver's structural invariants: the clause and learnt
+    /// counts match the arena, every watch names a live clause through one
+    /// of its first two literals, and every recorded reason is a live
+    /// clause whose first literal is the one it implied.
+    #[cfg(test)]
+    pub(crate) fn assert_consistent(&self) {
+        let mut starts = std::collections::BTreeSet::new();
+        let (mut clauses, mut learnts, mut at) = (0, 0, 0);
+        while at < self.arena.len() {
+            starts.insert(at as u32);
+            clauses += 1;
+            learnts += usize::from(self.arena[at] & LEARNT != 0);
+            at += 1 + self.clause_len(at as u32);
+        }
+        assert_eq!(at, self.arena.len(), "arena ends mid-clause");
+        assert_eq!(clauses, self.num_clauses, "clause count");
+        assert_eq!(learnts, self.live_learnts, "learnt count");
+        for (index, list) in self.watches.iter().enumerate() {
+            for &clause in list {
+                assert!(starts.contains(&clause), "watch of a dead clause {clause}");
+                let watched = &self.clause(clause)[..2];
+                assert!(
+                    watched.iter().any(|&l| Lit(l).negated().index() == index),
+                    "clause {clause} watched through a literal it does not watch"
+                );
+            }
+        }
+        for &lit in &self.trail {
+            if let Some(reason) = self.reason[lit.var().index()] {
+                assert!(starts.contains(&reason), "{lit} has a dead reason {reason}");
+                assert_eq!(Lit(self.clause(reason)[0]), lit, "reason of {lit}");
+            }
+        }
     }
 
     /// Decides satisfiability of the current clause set.
@@ -618,26 +879,54 @@ impl Solver {
     }
 
     /// Decides satisfiability of the current clause set under the
-    /// conjunction of `assumptions`.
+    /// conjunction of `assumptions`: [`Solver::solve_with`] with a theory
+    /// that accepts every model.
     ///
-    /// Assumptions are applied as pseudo-decisions (one per decision level,
-    /// before any branching), so nothing is added to the clause database and
-    /// every clause learnt during the search remains valid for later calls —
-    /// this is what makes CEGISMIN's repeated bound tightening incremental.
     /// When the answer is `Unsat` because of the assumptions,
     /// [`Solver::unsat_core`] names the responsible subset and the solver
     /// stays usable; an `Unsat` with an empty core means the clauses
     /// themselves are contradictory and the solver is dead.
     pub fn solve_under_assumptions(&mut self, assumptions: &[Lit]) -> SatResult {
+        self.solve_with(assumptions, |_| TheoryAnswer::Accept)
+            .expect("a theory that accepts everything never stops the search")
+    }
+
+    /// Searches for a model of the clause set under the conjunction of
+    /// `assumptions` that `theory` accepts.
+    ///
+    /// Assumptions are applied as pseudo-decisions (one per decision level,
+    /// before any branching), so nothing is added to the clause database and
+    /// every clause learnt during the search remains valid for later calls —
+    /// this is what makes CEGISMIN's repeated bound changes incremental.
+    ///
+    /// Each time every decision variable is assigned without conflict,
+    /// `theory` sees the assignment.  [`TheoryAnswer::Accept`] returns it
+    /// as `Some(Sat)`; [`TheoryAnswer::Stop`] returns `None`;
+    /// [`TheoryAnswer::Block`] adds its clause for good and resumes the
+    /// same search.  The clause should be false under the assignment:
+    /// then the solver backjumps to the highest level at which it is
+    /// unit and asserts it there, or analyses it as a conflict when
+    /// several of its literals share the top level; an empty clause (after
+    /// dropping literals false at level 0) makes the clause set
+    /// contradictory.  A clause that is not false is added like any other
+    /// and the search resumes from level 0.  `Some(Unsat)` means no
+    /// acceptable model exists under the assumptions; see
+    /// [`Solver::solve_under_assumptions`] for the core.
+    pub fn solve_with(
+        &mut self,
+        assumptions: &[Lit],
+        mut theory: impl FnMut(&Model) -> TheoryAnswer,
+    ) -> Option<SatResult> {
         self.last_core.clear();
         if !self.ok {
-            return SatResult::Unsat;
+            return Some(SatResult::Unsat);
         }
         self.cancel_until(0);
         if self.propagate().is_some() {
             self.ok = false;
-            return SatResult::Unsat;
+            return Some(SatResult::Unsat);
         }
+        self.reduce_learnts();
 
         let mut conflicts_since_restart = 0u64;
         let mut restart_limit = 100u64;
@@ -646,78 +935,76 @@ impl Solver {
             if let Some(conflict) = self.propagate() {
                 self.conflicts += 1;
                 conflicts_since_restart += 1;
-                if self.trail_lim.is_empty() {
-                    self.ok = false;
-                    return SatResult::Unsat;
+                if !self.learn(conflict) {
+                    return Some(SatResult::Unsat);
                 }
-                let (learnt, backtrack_level) = self.analyze(conflict);
-                self.cancel_until(backtrack_level);
-                self.var_inc *= 1.05;
-                if learnt.len() == 1 {
-                    if self.lit_value(learnt[0]) == 0 {
-                        // False at level 0: contradictory clause database.
-                        self.ok = false;
-                        return SatResult::Unsat;
-                    }
-                    if self.lit_value(learnt[0]) == UNASSIGNED {
-                        self.enqueue(learnt[0], None);
-                    }
-                } else {
-                    let index = self.push_clause(&learnt);
-                    self.learnts += 1;
-                    self.enqueue(learnt[0], Some(index));
-                }
-            } else {
-                if conflicts_since_restart >= restart_limit {
-                    conflicts_since_restart = 0;
-                    restart_limit = restart_limit.saturating_mul(3) / 2;
-                    self.restarts += 1;
-                    // Assumptions are re-applied below, one per iteration.
-                    self.cancel_until(0);
-                    continue;
-                }
-                // Apply (or re-apply, after a restart or deep backjump) the
-                // next pending assumption as a pseudo-decision.
-                if self.trail_lim.len() < assumptions.len() {
-                    let lit = assumptions[self.trail_lim.len()];
-                    match self.lit_value(lit) {
-                        // Already entailed: push an empty decision level so
-                        // assumption i always sits at level ≤ i + 1.
-                        1 => self.trail_lim.push(self.trail.len()),
-                        0 => {
-                            // The clause database (plus earlier assumptions)
-                            // forces this assumption false: unsat under
-                            // assumptions, solver still healthy.
-                            self.analyze_final(lit);
-                            self.cancel_until(0);
-                            return SatResult::Unsat;
-                        }
-                        _ => {
-                            self.trail_lim.push(self.trail.len());
-                            self.enqueue(lit, None);
-                        }
-                    }
-                    continue;
-                }
-                match self.pick_branch_var() {
-                    None => {
-                        // All variables assigned: build the model.
-                        let values = self.assign.iter().map(|&v| v == 1).collect();
-                        let model = Model { values };
-                        // Leave the solver reusable for incremental calls.
+                continue;
+            }
+            if conflicts_since_restart >= restart_limit {
+                conflicts_since_restart = 0;
+                restart_limit = restart_limit.saturating_mul(3) / 2;
+                self.restarts += 1;
+                // Assumptions are re-applied below, one per iteration.
+                self.cancel_until(0);
+                self.reduce_learnts();
+                continue;
+            }
+            // Apply (or re-apply, after a restart or deep backjump) the
+            // next pending assumption as a pseudo-decision.
+            if self.trail_lim.len() < assumptions.len() {
+                let lit = assumptions[self.trail_lim.len()];
+                match self.lit_value(lit) {
+                    // Already entailed: push an empty decision level so
+                    // assumption i always sits at level ≤ i + 1.
+                    1 => self.trail_lim.push(self.trail.len()),
+                    0 => {
+                        // The clause database (plus earlier assumptions)
+                        // forces this assumption false: unsat under
+                        // assumptions, solver still healthy.
+                        self.analyze_final(lit);
                         self.cancel_until(0);
-                        return SatResult::Sat(model);
+                        return Some(SatResult::Unsat);
                     }
-                    Some(var) => {
-                        self.decisions += 1;
+                    _ => {
                         self.trail_lim.push(self.trail.len());
-                        let phase = self.phase[var.index()];
-                        let lit = if phase {
-                            var.positive()
-                        } else {
-                            var.negative()
-                        };
                         self.enqueue(lit, None);
+                    }
+                }
+                continue;
+            }
+            if let Some(var) = self.pick_branch_var() {
+                self.decisions += 1;
+                self.trail_lim.push(self.trail.len());
+                let lit = if self.phase[var.index()] {
+                    var.positive()
+                } else {
+                    var.negative()
+                };
+                self.enqueue(lit, None);
+                continue;
+            }
+            // Every decision variable is assigned: a candidate model.
+            self.model.values.clear();
+            self.model
+                .values
+                .extend(self.assign.iter().map(|&v| v == 1));
+            match theory(&self.model) {
+                TheoryAnswer::Accept => {
+                    let model = std::mem::take(&mut self.model);
+                    // Leave the solver reusable for incremental calls.
+                    self.cancel_until(0);
+                    return Some(SatResult::Sat(model));
+                }
+                TheoryAnswer::Stop => {
+                    self.cancel_until(0);
+                    return None;
+                }
+                TheoryAnswer::Block(clause) => {
+                    // A rejection spaces restarts like a conflict does, but
+                    // only propositional conflicts are counted as such.
+                    conflicts_since_restart += 1;
+                    if !self.add_theory_clause(&clause) {
+                        return Some(SatResult::Unsat);
                     }
                 }
             }

@@ -72,7 +72,7 @@ impl OutcomeCounters {
             self.sat_learnts
                 .fetch_add(feedback.stats.sat_learnts, Ordering::Relaxed);
             self.restarts
-                .fetch_add(feedback.stats.restarts, Ordering::Relaxed);
+                .fetch_add(u64::from(feedback.stats.restarts), Ordering::Relaxed);
             self.sweeps
                 .fetch_add(feedback.stats.sweeps, Ordering::Relaxed);
             self.sweep_inputs

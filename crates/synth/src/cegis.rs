@@ -9,12 +9,21 @@
 //! unrepairable.
 //!
 //! The whole ascent is **incremental**: one [`Solver`] and one
-//! [`ChoiceEncoding`] serve every iteration.  The cost bound is never baked
+//! [`ChoiceEncoding`] serve every bound.  The cost bound is never baked
 //! into the clause database — the encoding's totalizer exposes per-bound
-//! output literals and each `totalCost ≤ k` is activated by *assumption*
-//! ([`Solver::solve_under_assumptions`]), so raising the bound costs
-//! nothing and every learnt clause, blocking clause and counterexample
-//! survives to the next round.
+//! output literals and each `totalCost ≤ k` is activated by *assumption*,
+//! so raising the bound costs nothing: every blocking clause and
+//! counterexample survives to the next round, and so do the learnt clauses
+//! (up to the solver's bound on them; each stays valid).
+//!
+//! Within a bound, CEGIS runs **inside one CDCL search** (DPLL(T)): the
+//! verifier is the theory of [`Solver::solve_with`].  Each time the solver
+//! completes an assignment of the selectors, the verifier checks that
+//! candidate; a refuted candidate is answered with its blocking clause,
+//! which is false under the current assignment, so the solver backjumps
+//! and keeps searching instead of starting over from level 0.  One search
+//! per bound either returns a verified candidate, proves the bound Unsat,
+//! or is stopped by the wall clock or the candidate budget.
 //!
 //! Our verifier is the bounded-exhaustive [`EquivalenceOracle`] rather than
 //! SKETCH's symbolic one, so a counterexample cannot constrain candidates
@@ -22,7 +31,7 @@
 //! refuting run is a deterministic function of its input and the choice
 //! sites it consulted, so every candidate that takes the same options at
 //! those sites fails the same input.  One blocking clause over just those
-//! sites ([`ChoiceEncoding::block_core`]) rules all of them out at once.
+//! sites ([`ChoiceEncoding::core_clause`]) rules all of them out at once.
 //!
 //! The verification hot loop is **zero-materialisation**: candidates are
 //! evaluated through the oracle's [`afg_interp::ChoiceSession`], which runs
@@ -33,11 +42,11 @@
 //! called while searching (a unit test counts the calls); it remains the
 //! cold path for rendering the final repaired program.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use afg_eml::ChoiceProgram;
 use afg_interp::{EquivalenceOracle, Refutation};
-use afg_sat::{SatResult, Solver};
+use afg_sat::{Lit, SatResult, Solver, TheoryAnswer};
 
 use crate::bitset::IndexBitset;
 use crate::config::{Solution, SynthesisConfig, SynthesisOutcome, SynthesisStats, WarmStart};
@@ -112,13 +121,8 @@ impl SearchStrategy for CegisSolver {
         let encoding = ChoiceEncoding::new(&mut solver, program);
         let mut refuted = Refuted::default();
         // The original program (all-default assignment) is known bad.
-        refuted.record(
-            &mut solver,
-            &encoding,
-            &mut stats,
-            &default_assignment,
-            first,
-        );
+        let clause = refuted.record(&encoding, &mut stats, &default_assignment, first);
+        solver.add_clause(&clause);
 
         // The highest bound worth trying: a verified warm hypothesis of
         // cost c caps the ascent at c - 1.
@@ -158,14 +162,15 @@ impl SearchStrategy for CegisSolver {
                         cap = cost - 1;
                     }
                     Some(refutation) => {
-                        refuted.record(&mut solver, &encoding, &mut stats, hypothesis, refutation)
+                        let clause = refuted.record(&encoding, &mut stats, hypothesis, refutation);
+                        solver.add_clause(&clause);
                     }
                 }
             }
         }
 
         // CEGISMIN as a cost ascent: `totalCost ≤ bound` is activated per
-        // solve call through totalizer assumptions and raised after each
+        // search through totalizer assumptions and raised after each
         // Unsat.  Bound 0 admits only the original program, refuted above.
         // Blocking clauses only ever exclude failing candidates, so the
         // first candidate that verifies is minimal by construction, and
@@ -174,55 +179,66 @@ impl SearchStrategy for CegisSolver {
         let mut proven = cap < bound;
 
         while !proven {
-            if start.elapsed() > config.time_budget {
-                stats.wall_clock_limited = true;
+            if out_of_budget(start, config, &mut stats) {
                 break;
             }
-            if stats.candidates_checked > config.max_candidates {
-                break;
-            }
-            stats.cegis_iterations += 1;
 
-            // Synthesis phase: ask the SAT solver for a candidate consistent
-            // with all blocking clauses, under the current cost bound.
+            // One search per bound, with verification as its theory: every
+            // candidate the solver completes is checked here, and a refuted
+            // one is answered with its blocking clause — unless a budget ran
+            // out, which stops the search before the next candidate.
             let assumptions = encoding.cost_bound_assumptions(bound);
+            let mut theory_elapsed = Duration::ZERO;
             let sat_start = Instant::now();
-            let proposal = solver.solve_under_assumptions(&assumptions);
-            stats.sat_elapsed += sat_start.elapsed();
-            let assignment = match proposal {
-                SatResult::Unsat if bound >= cap => {
-                    proven = true;
-                    break;
-                }
-                SatResult::Unsat => {
-                    bound += 1;
-                    stats.descent_learnts.push(solver.stats().learnts);
-                    continue;
-                }
-                SatResult::Sat(model) => encoding.decode(&model),
-            };
+            let answer = solver.solve_with(&assumptions, |model| {
+                let theory_start = Instant::now();
+                stats.cegis_iterations += 1;
+                let assignment = encoding.decode(model);
+                stats.candidates_checked += 1;
 
-            stats.candidates_checked += 1;
-
-            // Verification phase: bounded-exhaustive equivalence check of
-            // the candidate, accumulated counterexamples first — the
-            // fast-rejection path and the full sweep in one ordered pass.
-            let verify_start = Instant::now();
-            let verdict = session.refute(&assignment, &refuted.inputs);
-            stats.verify_elapsed += verify_start.elapsed();
-            match verdict {
-                Some(refutation) => {
-                    refuted.record(&mut solver, &encoding, &mut stats, &assignment, refutation)
-                }
-                None => {
-                    best = Some(Solution {
-                        cost: assignment.cost(),
-                        assignment,
-                        minimal: false,
-                        counterexamples: Vec::new(),
-                        stats: SynthesisStats::default(),
-                    });
-                    proven = true;
+                // Verification phase: bounded-exhaustive equivalence check
+                // of the candidate, accumulated counterexamples first — the
+                // fast-rejection path and the full sweep in one ordered pass.
+                let verify_start = Instant::now();
+                let verdict = session.refute(&assignment, &refuted.inputs);
+                stats.verify_elapsed += verify_start.elapsed();
+                let answer = match verdict {
+                    None => {
+                        best = Some(Solution {
+                            cost: assignment.cost(),
+                            assignment,
+                            minimal: false,
+                            counterexamples: Vec::new(),
+                            stats: SynthesisStats::default(),
+                        });
+                        TheoryAnswer::Accept
+                    }
+                    Some(refutation) => {
+                        let clause = refuted.record(&encoding, &mut stats, &assignment, refutation);
+                        if out_of_budget(start, config, &mut stats) {
+                            TheoryAnswer::Stop
+                        } else {
+                            TheoryAnswer::Block(clause)
+                        }
+                    }
+                };
+                theory_elapsed += theory_start.elapsed();
+                answer
+            });
+            // SAT time excludes the verification done inside the search.
+            stats.sat_elapsed += sat_start.elapsed().saturating_sub(theory_elapsed);
+            match answer {
+                // Stopped by a budget: the search holds no answer.
+                None => break,
+                Some(SatResult::Sat(_)) => proven = true,
+                Some(SatResult::Unsat) => {
+                    stats.cegis_iterations += 1;
+                    if bound >= cap {
+                        proven = true;
+                    } else {
+                        bound += 1;
+                        stats.descent_learnts.push(solver.stats().learnts);
+                    }
                 }
             }
         }
@@ -231,7 +247,8 @@ impl SearchStrategy for CegisSolver {
         stats.sat_conflicts = sat.conflicts;
         stats.sat_propagations = sat.propagations;
         stats.sat_learnts = sat.learnts;
-        stats.restarts = sat.restarts;
+        stats.sat_decisions = u32::try_from(sat.decisions).unwrap_or(u32::MAX);
+        stats.restarts = u32::try_from(sat.restarts).unwrap_or(u32::MAX);
         let sweep = session.sweep_stats();
         stats.sweeps = sweep.sweeps;
         stats.sweep_inputs = sweep.inputs_run;
@@ -278,30 +295,39 @@ impl Refuted {
         }
     }
 
-    /// Notes the refuting input and blocks every candidate that replays
-    /// the refuting run (just `assignment` when there is no core).
+    /// Notes the refuting input and returns the clause blocking every
+    /// candidate that replays the refuting run (just `assignment` when
+    /// there is no core).
     fn record(
         &mut self,
-        solver: &mut Solver,
         encoding: &ChoiceEncoding,
         stats: &mut SynthesisStats,
         assignment: &afg_eml::ChoiceAssignment,
         refutation: Refutation,
-    ) {
+    ) -> Vec<Lit> {
         self.note_input(stats, refutation.input);
         match refutation.core {
             Some(core) => {
-                let width = encoding.block_core(solver, assignment, &core);
+                let clause = encoding.core_clause(assignment, &core);
                 stats.core_clauses = stats.core_clauses.saturating_add(1);
                 stats.core_literals = stats
                     .core_literals
-                    .saturating_add(u32::try_from(width).unwrap_or(u32::MAX));
+                    .saturating_add(u32::try_from(clause.len()).unwrap_or(u32::MAX));
+                clause
             }
-            None => {
-                encoding.block_assignment(solver, assignment);
-            }
+            None => encoding.assignment_clause(assignment),
         }
     }
+}
+
+/// Whether the search must stop before its next candidate: the wall clock
+/// ran out (noted in `stats`), or the candidate budget did.
+fn out_of_budget(start: Instant, config: &SynthesisConfig, stats: &mut SynthesisStats) -> bool {
+    if start.elapsed() > config.time_budget {
+        stats.wall_clock_limited = true;
+        return true;
+    }
+    stats.candidates_checked > config.max_candidates
 }
 
 /// Whether every non-default selection of `assignment` indexes an existing
@@ -573,16 +599,9 @@ def computeDeriv(poly_list_int):
         assert!(stats.sweep_compiled);
         assert_eq!(stats.core_clauses as usize, stats.candidates_checked - 1);
         // ...and a core names only the sites its run consulted: fewer
-        // literals than whole-assignment blocking, which spends every
-        // selector of each default site plus one per correction.
-        let mut savings: Vec<usize> = cp
-            .choices
-            .iter()
-            .map(|info| info.options.len().saturating_sub(2))
-            .collect();
-        savings.sort_unstable_by(|a, b| b.cmp(a));
-        let selectors: usize = cp.choices.iter().map(|i| i.options.len() - 1).sum();
-        let narrowest = selectors - savings.iter().take(3).sum::<usize>();
+        // literals than whole-assignment blocking, which spends one per
+        // site that has an alternative option.
+        let narrowest = cp.choices.iter().filter(|i| i.options.len() > 1).count();
         let whole = stats.core_clauses as usize * narrowest;
         assert!(
             (stats.core_literals as usize) < whole,

@@ -44,18 +44,22 @@ impl SynthesisConfig {
 pub struct SynthesisStats {
     /// Candidate programs evaluated against the oracle.
     pub candidates_checked: usize,
-    /// CEGIS iterations (synthesis-phase / verification-phase round trips).
+    /// CEGIS iterations: SAT answers, i.e. candidates the solver offered
+    /// for verification plus bounds it proved Unsat.
     pub cegis_iterations: usize,
     /// Counterexample inputs accumulated.
     pub counterexamples: usize,
-    /// SAT conflicts analysed (0 for SAT-free back ends).
+    /// Propositional SAT conflicts analysed (0 for SAT-free back ends).
+    /// Candidates the verifier rejects inside the search are counted by
+    /// `core_clauses`, not here.
     pub sat_conflicts: u64,
     /// SAT unit propagations performed.
     pub sat_propagations: u64,
-    /// SAT clauses learnt and retained.
+    /// SAT clauses learnt (cumulative: the solver's learnt-database
+    /// reductions do not lower it).
     pub sat_learnts: u64,
-    /// SAT restarts performed.
-    pub restarts: u64,
+    /// SAT restarts performed, saturating like the core counters below.
+    pub restarts: u32,
     /// Verification sweeps answered by the equivalence session
     /// (`find_counterexample` calls, including the already-correct check).
     pub sweeps: u64,
@@ -89,16 +93,22 @@ pub struct SynthesisStats {
     /// when (and only when) the whole ascent runs on one solver.
     pub descent_learnts: Vec<u64>,
     /// Blocking clauses built from a refuting run's consultation core.
-    /// (The narrow counters keep `GradeOutcome::Feedback`, which carries
-    /// these stats, within clippy's enum-variant size bound.)
+    /// (The narrow counters — these, `sat_decisions` and `restarts` — keep
+    /// `GradeOutcome::Feedback`, which carries these stats, within clippy's
+    /// enum-variant size bound.)
     pub core_clauses: u32,
     /// Total literal width of those clauses (a whole-assignment block
-    /// would need one literal per choice site, or more).
+    /// needs one literal per choice site).
     pub core_literals: u32,
+    /// SAT branching decisions, saturating like the core counters.  The
+    /// solver branches only on selectors, so this divided by
+    /// `candidates_checked` is the decisions each candidate cost.
+    pub sat_decisions: u32,
     /// Wall-clock time spent.
     pub elapsed: Duration,
-    /// The share of `elapsed` spent inside SAT `solve` calls (zero for
-    /// SAT-free back ends).
+    /// The share of `elapsed` spent inside SAT searches, not counting the
+    /// verification the search calls back into (zero for SAT-free back
+    /// ends).
     pub sat_elapsed: Duration,
     /// The share of `elapsed` spent in verification sweeps
     /// (`find_counterexample` calls against the equivalence session).

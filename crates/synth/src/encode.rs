@@ -9,8 +9,21 @@
 //! database: a [`afg_sat::Totalizer`] built once over the selectors exposes
 //! one output literal per possible count, and CEGISMIN activates
 //! `totalCost ≤ k` by passing the negated `k+1`-th output as an
-//! *assumption* to each solve call — the whole cost ascent then runs on a
-//! single solver instance with all learnt clauses intact.
+//! *assumption* to each search — the whole cost ascent then runs on a
+//! single solver instance whose learnt clauses all stay valid.
+//!
+//! Each site also gets one *changed* literal, `changed_s ↔ OR(sel_s)` (a
+//! single-selector site uses its selector), so the clause blocking a
+//! refuted candidate spends one literal per consulted site whatever option
+//! the site took.
+//!
+//! The solver **branches only on the selectors**.  Every other variable is
+//! settled by unit propagation once the selectors are: the at-most-one
+//! counters and the totalizer propagate a violated bound to a conflict, and
+//! each changed literal is an equivalence.  So a conflict-free assignment
+//! of the selectors is already a candidate within the bound, and a
+//! candidate costs a couple of decisions instead of one per totalizer
+//! output.
 
 use std::collections::BTreeMap;
 
@@ -48,14 +61,18 @@ pub struct ChoiceEncoding {
     /// For every choice site, the selector variable of each non-default
     /// option (`selectors[id][j]` selects option `j + 1`).
     selectors: BTreeMap<ChoiceId, Vec<Var>>,
+    /// For every site with a selector, the literal that is true exactly
+    /// when the site leaves its default.
+    changed: BTreeMap<ChoiceId, Lit>,
     /// Unary counter over all selector literals; drives the assumption-based
     /// cost bounds.
     totalizer: Totalizer,
 }
 
 impl ChoiceEncoding {
-    /// Creates selector variables, at-most-one constraints for every choice
-    /// site, and the totalizer counting the total cost.
+    /// Creates selector variables, at-most-one constraints and a changed
+    /// literal for every choice site, and the totalizer counting the
+    /// total cost; then restricts the solver's branching to the selectors.
     ///
     /// The totalizer is built at full width: real choice programs have
     /// tens of selectors, so the O(n²) merge is ~1–2k clauses, and
@@ -67,23 +84,39 @@ impl ChoiceEncoding {
     pub fn new(solver: &mut Solver, program: &ChoiceProgram) -> ChoiceEncoding {
         instrument::record_encoding();
         let mut selectors = BTreeMap::new();
+        let mut changed = BTreeMap::new();
         for info in &program.choices {
             let non_default_options = info.options.len().saturating_sub(1);
             let vars = solver.new_vars(non_default_options);
-            if vars.len() > 1 {
-                let lits: Vec<Lit> = vars.iter().map(|v| v.positive()).collect();
-                // At most one option per site (selecting none = default).
-                add_at_most(solver, &lits, 1);
+            let lits: Vec<Lit> = vars.iter().map(|v| v.positive()).collect();
+            match lits.as_slice() {
+                [] => {}
+                [single] => {
+                    changed.insert(info.id, *single);
+                }
+                _ => {
+                    // At most one option per site (selecting none = default).
+                    add_at_most(solver, &lits, 1);
+                    // changed ↔ OR(selectors).
+                    let site_changed = solver.new_var().positive();
+                    let mut any = lits.clone();
+                    any.push(site_changed.negated());
+                    solver.add_clause(&any);
+                    for &lit in &lits {
+                        solver.add_implication(lit, site_changed);
+                    }
+                    changed.insert(info.id, site_changed);
+                }
             }
             selectors.insert(info.id, vars);
         }
-        let all_lits: Vec<Lit> = selectors
-            .values()
-            .flat_map(|vars| vars.iter().map(|v| v.positive()))
-            .collect();
+        let all_vars: Vec<Var> = selectors.values().flatten().copied().collect();
+        let all_lits: Vec<Lit> = all_vars.iter().map(|v| v.positive()).collect();
         let totalizer = Totalizer::new(solver, &all_lits);
+        solver.branch_only_on(&all_vars);
         ChoiceEncoding {
             selectors,
+            changed,
             totalizer,
         }
     }
@@ -101,16 +134,16 @@ impl ChoiceEncoding {
         self.selectors.len()
     }
 
-    /// The assumptions activating `totalCost ≤ bound` for one solve call
-    /// (the CEGISMIN refinement step enforces `totalCost < best` by passing
-    /// `best - 1`).  Empty when the bound is vacuous.  Nothing is added to
-    /// the solver: tightening the bound on the next call is free and every
-    /// learnt clause remains valid.
+    /// The assumptions activating `totalCost ≤ bound` for one search.
+    /// Empty when the bound is vacuous.  Nothing is added to the solver:
+    /// moving the bound on the next search is free and every learnt clause
+    /// remains valid.
     pub fn cost_bound_assumptions(&self, bound: usize) -> Vec<Lit> {
         self.totalizer.at_most(bound).into_iter().collect()
     }
 
-    /// Decodes a SAT model into a choice assignment.
+    /// Decodes a SAT model into a choice assignment.  Only the selectors
+    /// are read.
     pub fn decode(&self, model: &Model) -> ChoiceAssignment {
         let mut assignment = ChoiceAssignment::default_choices();
         for (&id, vars) in &self.selectors {
@@ -124,36 +157,30 @@ impl ChoiceEncoding {
         assignment
     }
 
-    /// Adds a clause excluding exactly this assignment: every site must
-    /// keep its selection.  CEGIS falls back to it for refutations without
-    /// a consultation core (programs the VM cannot lower).
-    pub fn block_assignment(&self, solver: &mut Solver, assignment: &ChoiceAssignment) -> bool {
+    /// The clause excluding exactly this assignment: some site must change
+    /// its selection.  CEGIS falls back to it for refutations without a
+    /// consultation core (programs the VM cannot lower).
+    pub fn assignment_clause(&self, assignment: &ChoiceAssignment) -> Vec<Lit> {
         let mut clause: Vec<Lit> = Vec::new();
-        for (&id, vars) in &self.selectors {
-            Self::push_differs(&mut clause, vars, assignment.selected(id));
+        for &id in self.selectors.keys() {
+            self.push_differs(&mut clause, id, assignment.selected(id));
         }
-        solver.add_clause(&clause)
+        clause
     }
 
-    /// Adds the clause excluding every assignment that replays the
-    /// refuting run `core` of `assignment` — one that takes the same
-    /// clamped option at each consulted site — and returns its width.
+    /// The clause excluding every assignment that replays the refuting
+    /// run `core` of `assignment` — one that takes the same clamped option
+    /// at each consulted site.
     ///
     /// Each distinct consulted site contributes one literal saying the
-    /// other assignment takes a different option there: the OR of the
-    /// site's selectors for option 0, `¬sel[option - 1]` otherwise.  A
-    /// clamped tail (`option == bound - 1` below the site's last option)
-    /// stands for several selections, so it falls back to `assignment`'s
-    /// own selection, which blocks less and stays sound.  Sites consulted
-    /// only with `bound <= 1` have one effective option and add nothing;
-    /// an empty core yields the empty clause (nothing can repair the
-    /// input).
-    pub fn block_core(
-        &self,
-        solver: &mut Solver,
-        assignment: &ChoiceAssignment,
-        core: &[Consultation],
-    ) -> usize {
+    /// other assignment takes a different option there: the site's changed
+    /// literal for option 0, `¬sel[option - 1]` otherwise.  A clamped tail
+    /// (`option == bound - 1` below the site's last option) stands for
+    /// several selections, so it falls back to `assignment`'s own
+    /// selection, which blocks less and stays sound.  Sites consulted only
+    /// with `bound <= 1` have one effective option and add nothing; an
+    /// empty core yields the empty clause (nothing can repair the input).
+    pub fn core_clause(&self, assignment: &ChoiceAssignment, core: &[Consultation]) -> Vec<Lit> {
         let mut clause: Vec<Lit> = Vec::new();
         let mut blocked: Vec<ChoiceId> = Vec::new();
         for step in core.iter().filter(|step| step.bound > 1) {
@@ -172,19 +199,17 @@ impl ChoiceEncoding {
             } else {
                 option
             };
-            Self::push_differs(&mut clause, vars, selected);
+            self.push_differs(&mut clause, step.id, selected);
         }
-        solver.add_clause(&clause);
-        clause.len()
+        clause
     }
 
-    /// Pushes the literals saying a site with selector `vars` does not
-    /// take option `selected`.
-    fn push_differs(clause: &mut Vec<Lit>, vars: &[Var], selected: usize) {
+    /// Pushes the literal saying site `id` does not take option `selected`.
+    fn push_differs(&self, clause: &mut Vec<Lit>, id: ChoiceId, selected: usize) {
         if selected == 0 {
             // Kept the default: differing means selecting *something*...
-            clause.extend(vars.iter().map(|v| v.positive()));
-        } else if let Some(var) = vars.get(selected - 1) {
+            clause.extend(self.changed.get(&id));
+        } else if let Some(var) = self.selectors[&id].get(selected - 1) {
             // ...or deselecting the option chosen here.
             clause.push(var.negative());
         }
@@ -195,7 +220,7 @@ impl ChoiceEncoding {
 mod tests {
     use super::*;
     use afg_eml::{CFuncDef, ChoiceInfo};
-    use afg_sat::SatResult;
+    use afg_sat::{SatResult, TheoryAnswer};
 
     fn toy_program(option_counts: &[usize]) -> ChoiceProgram {
         ChoiceProgram {
@@ -324,11 +349,24 @@ mod tests {
                     );
                     seen.push(assignment.clone());
                     assert!(seen.len() <= 4);
-                    encoding.block_assignment(&mut solver, &assignment);
+                    solver.add_clause(&encoding.assignment_clause(&assignment));
                 }
             }
         }
         assert_eq!(seen.len(), 4);
+    }
+
+    /// Adds the core clause of `assignment`'s refutation and returns its
+    /// width.
+    fn block(
+        solver: &mut Solver,
+        encoding: &ChoiceEncoding,
+        assignment: &ChoiceAssignment,
+        core: &[Consultation],
+    ) -> usize {
+        let clause = encoding.core_clause(assignment, core);
+        solver.add_clause(&clause);
+        clause.len()
     }
 
     fn step(site: u32, bound: u32, option: u32) -> Consultation {
@@ -389,7 +427,7 @@ mod tests {
         let program = toy_program(&[3, 2]);
         let encoding = ChoiceEncoding::new(&mut solver, &program);
         let assignment = ChoiceAssignment::default_choices();
-        assert_eq!(encoding.block_core(&mut solver, &assignment, &[]), 0);
+        assert_eq!(block(&mut solver, &encoding, &assignment, &[]), 0);
         assert_eq!(solver.solve(), SatResult::Unsat);
     }
 
@@ -402,7 +440,7 @@ mod tests {
         // Site 0 is consulted only where one option exists; only site 1's
         // consultation constrains anything.
         let core = [step(0, 1, 0), step(1, 2, 0)];
-        assert_eq!(encoding.block_core(&mut solver, &assignment, &core), 1);
+        assert_eq!(block(&mut solver, &encoding, &assignment, &core), 1);
         // Any assignment selecting at site 1 survives, whatever site 0 does.
         let survivor = ChoiceAssignment::from_pairs([(ChoiceId(1), 1)]);
         assert!(!excluded(&mut solver, &encoding, &survivor));
@@ -423,7 +461,7 @@ mod tests {
         // options 1, 2 and 3 all share: only option 3 itself is blocked.
         let assignment = ChoiceAssignment::from_pairs([(ChoiceId(0), 3)]);
         assert_eq!(
-            encoding.block_core(&mut solver, &assignment, &[step(0, 2, 1)]),
+            block(&mut solver, &encoding, &assignment, &[step(0, 2, 1)]),
             1
         );
         assert!(excluded(&mut solver, &encoding, &assignment));
@@ -446,8 +484,9 @@ mod tests {
             step(1, 3, 2),
             step(0, 3, 0),
         ];
-        // Site 0 kept its default (two selectors), site 1 took option 2.
-        assert_eq!(encoding.block_core(&mut solver, &assignment, &core), 3);
+        // Site 0 kept its default (one changed literal), site 1 took
+        // option 2 (one negated selector).
+        assert_eq!(block(&mut solver, &encoding, &assignment, &core), 2);
     }
 
     #[test]
@@ -477,7 +516,7 @@ mod tests {
         for (case, (assignment, core)) in cases.iter().enumerate() {
             let mut solver = Solver::new();
             let encoding = ChoiceEncoding::new(&mut solver, &toy_program(&option_counts));
-            encoding.block_core(&mut solver, assignment, core);
+            block(&mut solver, &encoding, assignment, core);
             let has_tail = core.iter().any(|s| {
                 s.option + 1 == s.bound && (s.bound as usize) < option_counts[s.id.0 as usize]
             });
@@ -493,6 +532,92 @@ mod tests {
                 }
             }
             assert!(excluded(&mut solver, &encoding, assignment));
+        }
+    }
+
+    /// Whether `assignment` agrees with one of the refuted runs in
+    /// `blocks`, each given as the (site, option) pairs it consulted.
+    fn replays(blocks: &[Vec<(ChoiceId, usize)>], assignment: &ChoiceAssignment) -> bool {
+        blocks
+            .iter()
+            .any(|block| block.iter().all(|&(id, o)| assignment.selected(id) == o))
+    }
+
+    /// With branching limited to the selectors, every candidate the
+    /// solver completes selects at most one option per site, stays within
+    /// the bound and replays no blocked run; and a bound goes Unsat exactly
+    /// when brute force finds no unblocked assignment within it.  Random
+    /// toy programs, random cores, one solver per program across rising
+    /// bounds, as in CEGISMIN.
+    #[test]
+    fn selector_branching_offers_exactly_the_unblocked_candidates() {
+        for seed in 0..48u64 {
+            // SplitMix64, seeded per program.
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut below = move |bound: u64| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) % bound
+            };
+            let option_counts: Vec<usize> =
+                (0..1 + below(4)).map(|_| 1 + below(4) as usize).collect();
+            let mut solver = Solver::new();
+            let encoding = ChoiceEncoding::new(&mut solver, &toy_program(&option_counts));
+            let all = all_assignments(&option_counts);
+            let mut blocks: Vec<Vec<(ChoiceId, usize)>> = Vec::new();
+            for bound in 0..=3 {
+                let assumptions = encoding.cost_bound_assumptions(bound);
+                loop {
+                    let answer = solver.solve_with(&assumptions, |model| {
+                        for vars in encoding.selectors.values() {
+                            let selected = vars.iter().filter(|v| model.value(**v)).count();
+                            assert!(selected <= 1, "seed {seed}: {selected} options at one site");
+                        }
+                        let candidate = encoding.decode(model);
+                        assert!(candidate.cost() <= bound, "seed {seed}: over bound {bound}");
+                        assert!(!replays(&blocks, &candidate), "seed {seed}: {candidate:?}");
+                        if below(5) == 0 {
+                            return TheoryAnswer::Accept;
+                        }
+                        // Refute it through a random subset of the sites.
+                        let core: Vec<Consultation> = (0..option_counts.len())
+                            .filter(|_| below(2) == 0)
+                            .map(|site| {
+                                let option = candidate.selected(ChoiceId(site as u32));
+                                step(site as u32, option_counts[site] as u32, option as u32)
+                            })
+                            .collect();
+                        blocks.push(core.iter().map(|s| (s.id, s.option as usize)).collect());
+                        TheoryAnswer::Block(encoding.core_clause(&candidate, &core))
+                    });
+                    match answer {
+                        Some(SatResult::Sat(model)) => {
+                            // Accepted: block it outright between searches.
+                            let accepted = encoding.decode(&model);
+                            assert!(accepted.cost() <= bound && !replays(&blocks, &accepted));
+                            blocks.push(
+                                (0..option_counts.len())
+                                    .map(|site| {
+                                        let id = ChoiceId(site as u32);
+                                        (id, accepted.selected(id))
+                                    })
+                                    .collect(),
+                            );
+                            solver.add_clause(&encoding.assignment_clause(&accepted));
+                        }
+                        Some(SatResult::Unsat) => {
+                            let survivor = all
+                                .iter()
+                                .find(|a| a.cost() <= bound && !replays(&blocks, a));
+                            assert!(survivor.is_none(), "seed {seed}: {survivor:?} was left");
+                            break;
+                        }
+                        None => unreachable!("the theory never stops"),
+                    }
+                }
+            }
         }
     }
 }
